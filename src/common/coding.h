@@ -62,6 +62,16 @@ class Decoder {
     return DecodeRaw(value, sizeof(*value));
   }
 
+  // Corruption unless the rest of the input can hold `n` items of at least
+  // `min_bytes_each` bytes. Call it before sizing a container from a count
+  // read off the input, so a bad count cannot demand a huge allocation.
+  Status CheckCount(uint64_t n, size_t min_bytes_each) const {
+    if (min_bytes_each == 0 || n > remaining() / min_bytes_each) {
+      return Status::Corruption("decoder: count exceeds the remaining input");
+    }
+    return Status::OK();
+  }
+
   Status Skip(size_t n) {
     if (remaining() < n) {
       return Status::Corruption("decoder: skip past end of input");

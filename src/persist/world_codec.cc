@@ -1,10 +1,21 @@
 #include "persist/world_codec.h"
 
+#include <cmath>
+
 #include "common/coding.h"
 
 namespace hdov {
 
 namespace {
+
+// Smallest encodings, for Decoder::CheckCount.
+constexpr size_t kVec3Bytes = 3 * sizeof(double);
+constexpr size_t kTriangleBytes = 3 * sizeof(uint32_t);
+constexpr size_t kMeshMinBytes = 2 * sizeof(uint64_t);
+constexpr size_t kLodLevelMinBytes =
+    sizeof(uint32_t) + sizeof(uint64_t) + kMeshMinBytes;
+constexpr size_t kCellMinBytes = sizeof(uint32_t);
+constexpr size_t kCellEntryBytes = sizeof(ObjectId) + sizeof(float);
 
 void EncodeVec3(std::string* out, const Vec3& v) {
   EncodeDouble(out, v.x);
@@ -44,12 +55,14 @@ void EncodeMesh(std::string* out, const TriangleMesh& mesh) {
 Result<TriangleMesh> DecodeMesh(Decoder* decoder) {
   uint64_t vertex_count = 0;
   HDOV_RETURN_IF_ERROR(decoder->DecodeFixed64(&vertex_count));
+  HDOV_RETURN_IF_ERROR(decoder->CheckCount(vertex_count, kVec3Bytes));
   std::vector<Vec3> vertices(vertex_count);
   for (Vec3& v : vertices) {
     HDOV_RETURN_IF_ERROR(DecodeVec3(decoder, &v));
   }
   uint64_t triangle_count = 0;
   HDOV_RETURN_IF_ERROR(decoder->DecodeFixed64(&triangle_count));
+  HDOV_RETURN_IF_ERROR(decoder->CheckCount(triangle_count, kTriangleBytes));
   std::vector<Triangle> triangles(triangle_count);
   for (Triangle& tri : triangles) {
     HDOV_RETURN_IF_ERROR(decoder->DecodeFixed32(&tri.v[0]));
@@ -77,6 +90,7 @@ void EncodeLodChain(std::string* out, const LodChain& chain) {
 Result<LodChain> DecodeLodChain(Decoder* decoder) {
   uint32_t num_levels = 0;
   HDOV_RETURN_IF_ERROR(decoder->DecodeFixed32(&num_levels));
+  HDOV_RETURN_IF_ERROR(decoder->CheckCount(num_levels, kLodLevelMinBytes));
   std::vector<LodLevel> levels;
   levels.reserve(num_levels);
   for (uint32_t i = 0; i < num_levels; ++i) {
@@ -172,17 +186,26 @@ Result<VisibilityTable> DecodeVisibilityTable(std::string_view data) {
   Decoder decoder(data);
   uint32_t num_cells = 0;
   HDOV_RETURN_IF_ERROR(decoder.DecodeFixed32(&num_cells));
+  HDOV_RETURN_IF_ERROR(decoder.CheckCount(num_cells, kCellMinBytes));
   std::vector<CellVisibility> cells(num_cells);
   for (CellVisibility& vis : cells) {
     uint32_t count = 0;
     HDOV_RETURN_IF_ERROR(decoder.DecodeFixed32(&count));
+    HDOV_RETURN_IF_ERROR(decoder.CheckCount(count, kCellEntryBytes));
     vis.ids.resize(count);
     vis.dov.resize(count);
-    for (ObjectId& id : vis.ids) {
-      HDOV_RETURN_IF_ERROR(decoder.DecodeFixed32(&id));
+    for (size_t i = 0; i < count; ++i) {
+      HDOV_RETURN_IF_ERROR(decoder.DecodeFixed32(&vis.ids[i]));
+      if (i > 0 && vis.ids[i] <= vis.ids[i - 1]) {
+        return Status::Corruption(
+            "visibility codec: object ids not strictly increasing");
+      }
     }
     for (float& dov : vis.dov) {
       HDOV_RETURN_IF_ERROR(decoder.DecodeFloat(&dov));
+      if (!std::isfinite(dov) || !(dov > 0.0f)) {
+        return Status::Corruption("visibility codec: DoV not finite and > 0");
+      }
     }
   }
   return VisibilityTable(std::move(cells));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace hdov {
 
@@ -28,6 +29,45 @@ int ClipAgainstPlane(const Vec3* in, int n_in, const Vec3& n, double offset,
     }
   }
   return n_out;
+}
+
+struct Interval {
+  double lo, hi;
+};
+
+// Range of axis·v over the box [lo, hi]; `axis` is a signed unit axis, as
+// every cube-face basis vector is, so the range is exact.
+Interval AxisRange(const Vec3& axis, const Vec3& lo, const Vec3& hi) {
+  if (axis.x != 0.0) {
+    return axis.x > 0.0 ? Interval{lo.x, hi.x} : Interval{-hi.x, -lo.x};
+  }
+  if (axis.y != 0.0) {
+    return axis.y > 0.0 ? Interval{lo.y, hi.y} : Interval{-hi.y, -lo.y};
+  }
+  return axis.z > 0.0 ? Interval{lo.z, hi.z} : Interval{-hi.z, -lo.z};
+}
+
+double DistanceFromZero(const Interval& r) {
+  return r.lo > 0.0 ? r.lo : (r.hi < 0.0 ? -r.hi : 0.0);
+}
+
+// Pixel indices [first, last] (first > last when empty) whose centres, at
+// face-plane coordinate 2 (i + 0.5) / res - 1, can see a point with
+// lateral coordinate in `r` and depth in [dlo, dhi] (u = r / d).
+// RasterizeOnFace writes a pixel only when its centre passes the
+// barycentric inside test; rounding lets that test accept centres outside
+// the projected triangle by at most ~3e-14 / L, for L its shortest
+// projected edge, so the slack covers every triangle with L > ~3e-8.
+std::pair<int, int> CentreRange(const Interval& r, double dlo, double dhi,
+                                int res) {
+  constexpr double kUvSlack = 1e-6;
+  auto index = [res](double u) {
+    return (std::clamp(u, -2.0, 2.0) + 1.0) * 0.5 * res - 0.5;
+  };
+  const double lo = std::min(r.lo / dlo, r.lo / dhi) - kUvSlack;
+  const double hi = std::max(r.hi / dlo, r.hi / dhi) + kUvSlack;
+  return {std::max(0, static_cast<int>(std::ceil(index(lo)))),
+          std::min(res - 1, static_cast<int>(std::floor(index(hi))))};
 }
 
 }  // namespace
@@ -74,12 +114,16 @@ void CubeMapBuffer::Reset(const Vec3& viewpoint) {
 }
 
 void CubeMapBuffer::RasterizeTriangle(const Vec3& a, const Vec3& b,
-                                      const Vec3& c, uint32_t item) {
+                                      const Vec3& c, uint32_t item,
+                                      uint8_t faces) {
   const Vec3 cam[3] = {a - viewpoint_, b - viewpoint_, c - viewpoint_};
   // Scratch buffers big enough for a triangle clipped by 5 planes.
   Vec3 buf_a[16];
   Vec3 buf_b[16];
   for (int face = 0; face < 6; ++face) {
+    if ((faces & (1u << face)) == 0) {
+      continue;
+    }
     const Face& f = faces_[face];
     // Quick reject: all three vertices behind the face.
     if (f.forward.Dot(cam[0]) <= 0.0 && f.forward.Dot(cam[1]) <= 0.0 &&
@@ -184,7 +228,8 @@ void CubeMapBuffer::RasterizeOnFace(int face, const Vec3* poly, int n,
   }
 }
 
-void CubeMapBuffer::RasterizeBox(const Aabb& box, uint32_t item) {
+void CubeMapBuffer::RasterizeBox(const Aabb& box, uint32_t item,
+                                 uint8_t faces, bool front_only) {
   if (box.IsEmpty()) {
     return;
   }
@@ -200,10 +245,82 @@ void CubeMapBuffer::RasterizeBox(const Aabb& box, uint32_t item) {
       {0, 4, 6, 2},  // left
       {1, 3, 7, 5},  // right
   };
-  for (const auto& q : kQuads) {
-    RasterizeTriangle(c[q[0]], c[q[1]], c[q[2]], item);
-    RasterizeTriangle(c[q[0]], c[q[2]], c[q[3]], item);
+  // Whether each quad faces the viewpoint (which lies strictly on the
+  // quad's outer side).
+  const bool facing[6] = {
+      viewpoint_.z < box.min.z, viewpoint_.z > box.max.z,
+      viewpoint_.y < box.min.y, viewpoint_.y > box.max.y,
+      viewpoint_.x < box.min.x, viewpoint_.x > box.max.x,
+  };
+  for (int q = 0; q < 6; ++q) {
+    if (front_only && !facing[q]) {
+      continue;
+    }
+    const int* v = kQuads[q];
+    RasterizeTriangle(c[v[0]], c[v[1]], c[v[2]], item, faces);
+    RasterizeTriangle(c[v[0]], c[v[2]], c[v[3]], item, faces);
   }
+}
+
+uint8_t CubeMapBuffer::WritableFaces(const Aabb& bounds) const {
+  if (bounds.IsEmpty()) {
+    return 0;
+  }
+  // Camera-space bounds: the same subtraction RasterizeTriangle applies to
+  // every vertex, so each vertex lands inside [lo, hi].
+  const Vec3 lo = bounds.min - viewpoint_;
+  const Vec3 hi = bounds.max - viewpoint_;
+  // Clipping interpolates new vertices along edges; rounding can put them
+  // a few ulps of the largest coordinate outside the box.
+  const double magnitude =
+      std::max({std::fabs(lo.x), std::fabs(lo.y), std::fabs(lo.z),
+                std::fabs(hi.x), std::fabs(hi.y), std::fabs(hi.z)});
+  const double grow = 1e-12 * (1.0 + magnitude);
+  auto range = [&](const Vec3& axis) {
+    const Interval r = AxisRange(axis, lo, hi);
+    return Interval{r.lo - grow, r.hi + grow};
+  };
+  uint8_t faces = 0;
+  for (int face = 0; face < 6; ++face) {
+    const Face& f = faces_[face];
+    const Interval d = range(f.forward);
+    if (d.hi < kNearEpsilon) {
+      continue;  // Wholly behind the near plane.
+    }
+    const Interval r = range(f.right);
+    const Interval s = range(f.up);
+    // A point the clipper keeps has d >= kNearEpsilon and |r|, |s| <=
+    // d (1 + 1e-9) (the side planes' slack), so its depth is at least dlo.
+    constexpr double kSideSlack = 1.0 + 1e-8;
+    const double dlo =
+        std::max({kNearEpsilon, d.lo, DistanceFromZero(r) / kSideSlack,
+                  DistanceFromZero(s) / kSideSlack});
+    if (dlo > d.hi) {
+      continue;  // No point of the box lies inside the frustum.
+    }
+    const auto [i0, i1] = CentreRange(r, dlo, d.hi, res_);
+    const auto [j0, j1] = CentreRange(s, dlo, d.hi, res_);
+    // Interpolated inverse depths are convex combinations of the
+    // vertices' 1/d <= 1/dlo; the margin dwarfs their rounding and the
+    // float rounding of the store.
+    const double bound = (1.0 / dlo) * (1.0 + 1e-5);
+    const float* face_depth =
+        inv_depth_.data() + static_cast<size_t>(face) * res_ * res_;
+    bool writable = false;
+    for (int j = j0; j <= j1 && !writable; ++j) {
+      const float* row = face_depth + static_cast<size_t>(j) * res_;
+      for (int i = i0; i <= i1; ++i) {
+        if (row[i] <= bound) {
+          writable = true;
+          break;
+        }
+      }
+    }
+    if (writable) {
+      faces |= static_cast<uint8_t>(1u << face);
+    }
+  }
+  return faces;
 }
 
 double CubeMapBuffer::AccumulateSolidAngles(

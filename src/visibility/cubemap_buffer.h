@@ -8,6 +8,17 @@
 //
 // This is the software substitute for the paper's hardware-accelerated DoV
 // computation (see DESIGN.md).
+//
+// Z-test. A write happens only when the interpolated inverse depth (a
+// double) is strictly greater than the stored float, which then becomes
+// that value rounded to float. So a pixel's stored inverse depth never
+// decreases, and on a tie the item drawn first keeps the pixel. Every
+// draw call takes a mask of cube faces (bit f = face f); a face's pixels
+// depend only on what was drawn onto that face, and drawing a triangle on
+// a subset of faces writes exactly what the full draw writes there.
+//
+// WritableFaces is the occlusion test DovComputer culls with (see dov.h for
+// why culling with it leaves every pixel exactly as the full draw would).
 
 #ifndef HDOV_VISIBILITY_CUBEMAP_BUFFER_H_
 #define HDOV_VISIBILITY_CUBEMAP_BUFFER_H_
@@ -22,6 +33,9 @@
 namespace hdov {
 
 inline constexpr uint32_t kNoItem = ~static_cast<uint32_t>(0);
+
+// Cube-face masks: bit f selects face f (+x, -x, +y, -y, +z, -z).
+inline constexpr uint8_t kAllCubeFaces = 0x3f;
 
 struct CubeMapOptions {
   // Pixels per cube face edge. 32 gives 6144 pixels (~0.2% solid-angle
@@ -39,12 +53,27 @@ class CubeMapBuffer {
   const Vec3& viewpoint() const { return viewpoint_; }
   int face_resolution() const { return res_; }
 
-  // Rasterizes a (two-sided) occluder triangle owned by `item`.
+  // Rasterizes a (two-sided) occluder triangle owned by `item` onto the
+  // cube faces in `faces`.
   void RasterizeTriangle(const Vec3& a, const Vec3& b, const Vec3& c,
-                         uint32_t item);
+                         uint32_t item, uint8_t faces = kAllCubeFaces);
 
-  // Rasterizes the 12 triangles of `box`.
-  void RasterizeBox(const Aabb& box, uint32_t item);
+  // Rasterizes the 12 triangles of `box` onto `faces`. With `front_only`,
+  // only the triangles of the box sides that face the viewpoint (the ones
+  // nearest to it along every ray that enters the box).
+  void RasterizeBox(const Aabb& box, uint32_t item,
+                    uint8_t faces = kAllCubeFaces, bool front_only = false);
+
+  // Conservative occlusion test of any geometry lying inside `bounds`:
+  // the mask of cube faces it may still write. A face is left out only
+  // when no such triangle can write a pixel of it now: either no pixel
+  // centre lies in the face-plane footprint of `bounds`, or every stored
+  // inverse depth over the footprint exceeds `bound` = (1/dlo)(1 + 1e-5),
+  // where dlo is a lower bound on the depth of any point of `bounds`
+  // inside the face frustum. Any inverse depth such geometry could write,
+  // rounded to float, is then strictly below the stored value (the
+  // margins cover clipping, projection and float rounding).
+  uint8_t WritableFaces(const Aabb& bounds) const;
 
   // Accumulates the visible solid angle of every item into `solid_angles`
   // (indexed by item id; the vector must be pre-sized and zeroed by the

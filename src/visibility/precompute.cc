@@ -75,8 +75,6 @@ Vec3 PushOutOfObjects(const Scene& scene, Vec3 p) {
   return p;
 }
 
-namespace {
-
 std::vector<Vec3> CellSamples(const CellGrid& grid, CellId id,
                               int samples_per_cell) {
   const Aabb box = grid.CellBounds(id);
@@ -103,8 +101,6 @@ std::vector<Vec3> CellSamples(const CellGrid& grid, CellId id,
   }
   return samples;
 }
-
-}  // namespace
 
 Result<VisibilityTable> PrecomputeVisibility(
     const Scene& scene, const CellGrid& grid, const PrecomputeOptions& options,

@@ -4,6 +4,14 @@
 // pre-determined cells ... a DoV algorithm is then applied on the visible
 // set").
 //
+// Each viewpoint sample is evaluated by DovComputer in two passes on one
+// cube-map buffer: a near-to-far witness pass culls every (object, cube
+// face) pair that provably cannot change a pixel, and a final pass draws
+// only the surviving pairs in object-id order. The table is bit-identical
+// to rasterizing every object onto every face (the exactness argument is
+// in visibility/dov.h), at a cost that follows the visible set. The
+// near-to-far order is sorted once per cell, from its first sample.
+//
 // Cells are independent of each other, so the pass fans out over a worker
 // pool (PrecomputeOptions::threads). Each worker owns a private
 // DovComputer (cube-map buffer included) and writes only its own cells'
@@ -86,6 +94,13 @@ class VisibilityTable {
 Result<VisibilityTable> PrecomputeVisibility(
     const Scene& scene, const CellGrid& grid, const PrecomputeOptions& options,
     const std::function<void(uint32_t, uint32_t)>& progress = nullptr);
+
+// The viewpoint samples of cell `id`, centre first: 1 = centre only, 2–5
+// add the mid-height xy corners, 6–9 the cell box corners. Exposed for
+// testing; PrecomputeVisibility evaluates these (pushed out of objects
+// when avoid_object_interiors is on).
+std::vector<Vec3> CellSamples(const CellGrid& grid, CellId id,
+                              int samples_per_cell);
 
 // Moves `p` out of any object MBR it lies inside, along the cheapest xy
 // axis (smallest penetration — stepping over a building is not an option

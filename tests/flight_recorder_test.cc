@@ -11,6 +11,7 @@
 #include "common/coding.h"
 #include "common/thread_pool.h"
 #include "telemetry/trace_context.h"
+#include "temp_path.h"
 
 namespace hdov {
 namespace {
@@ -31,10 +32,6 @@ using telemetry::kMaxFlightNames;
 using telemetry::SessionTraceScope;
 using telemetry::StageTraceScope;
 using telemetry::TraceStage;
-
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + name;
-}
 
 TEST(FlightRecorderTest, RecordAndDrainInOrder) {
   FlightRecorder recorder(64);

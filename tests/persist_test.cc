@@ -4,14 +4,17 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/crc32c.h"
 #include "persist/snapshot.h"
 #include "persist/world_codec.h"
 #include "storage/file_device.h"
+#include "temp_path.h"
 #include "walkthrough/experiment_testbed.h"
 #include "walkthrough/visual_system.h"
 
@@ -19,10 +22,6 @@ namespace hdov {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
-}
 
 // ---------------------------------------------------------------- crc32c
 
@@ -328,6 +327,89 @@ TEST(WorldCodecTest, SceneRoundTripsBitExactly) {
     EXPECT_EQ(table->cell(c).ids, bed->table.cell(c).ids);
     EXPECT_EQ(table->cell(c).dov, bed->table.cell(c).dov);
   }
+}
+
+// A visibility table of one cell holding `ids` with `dovs`, encoded by
+// hand so the test can write what the encoder never would.
+std::string OneCellTable(const std::vector<uint32_t>& ids,
+                         const std::vector<float>& dovs) {
+  std::string bytes;
+  EncodeFixed32(&bytes, 1);
+  EncodeFixed32(&bytes, static_cast<uint32_t>(ids.size()));
+  for (uint32_t id : ids) {
+    EncodeFixed32(&bytes, id);
+  }
+  for (float dov : dovs) {
+    EncodeFloat(&bytes, dov);
+  }
+  return bytes;
+}
+
+void ExpectCorruption(const Status& status) {
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+}
+
+TEST(WorldCodecTest, VisibilityTableRejectsInflatedCounts) {
+  ASSERT_TRUE(DecodeVisibilityTable(OneCellTable({1, 2}, {0.1f, 0.2f})).ok());
+
+  std::string cells;  // 4G cells in an 8-byte section.
+  EncodeFixed32(&cells, 0xffffffffu);
+  EncodeFixed32(&cells, 0);
+  ExpectCorruption(DecodeVisibilityTable(cells).status());
+
+  std::string entries = OneCellTable({1, 2}, {0.1f, 0.2f});
+  entries[4] = '\x03';  // Three entries, bytes for two.
+  ExpectCorruption(DecodeVisibilityTable(entries).status());
+  entries[7] = '\x7f';  // ~2G entries.
+  ExpectCorruption(DecodeVisibilityTable(entries).status());
+}
+
+TEST(WorldCodecTest, VisibilityTableRejectsUnsortedIds) {
+  ExpectCorruption(
+      DecodeVisibilityTable(OneCellTable({1, 1}, {0.1f, 0.2f})).status());
+  ExpectCorruption(
+      DecodeVisibilityTable(OneCellTable({5, 2}, {0.1f, 0.2f})).status());
+}
+
+TEST(WorldCodecTest, VisibilityTableRejectsBadDov) {
+  for (float bad : {0.0f, -0.0f, -0.25f,
+                    std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity()}) {
+    ExpectCorruption(
+        DecodeVisibilityTable(OneCellTable({1, 2}, {0.1f, bad})).status());
+  }
+}
+
+TEST(WorldCodecTest, SceneRejectsInflatedLodAndMeshCounts) {
+  // One object: kind, MBR, then a LoD chain with one level whose mesh has
+  // `vertices` vertices and no triangles (coordinates supplied for
+  // `stored` of them).
+  auto scene_bytes = [](uint32_t levels, uint64_t vertices, int stored,
+                        uint64_t triangles) {
+    std::string bytes;
+    EncodeFixed32(&bytes, 1);
+    bytes.push_back(static_cast<char>(ObjectKind::kBuilding));
+    for (int i = 0; i < 6; ++i) {
+      EncodeDouble(&bytes, i < 3 ? 0.0 : 1.0);
+    }
+    EncodeFixed32(&bytes, levels);
+    EncodeFixed32(&bytes, 0);  // triangle_count
+    EncodeFixed64(&bytes, 0);  // byte_size
+    EncodeFixed64(&bytes, vertices);
+    for (int i = 0; i < 3 * stored; ++i) {
+      EncodeDouble(&bytes, 0.5);
+    }
+    EncodeFixed64(&bytes, triangles);
+    return bytes;
+  };
+  ASSERT_TRUE(DecodeScene(scene_bytes(1, 2, 2, 0)).ok());
+  ExpectCorruption(DecodeScene(scene_bytes(0xffffffffu, 2, 2, 0)).status());
+  ExpectCorruption(DecodeScene(scene_bytes(1, 3, 2, 0)).status());
+  ExpectCorruption(
+      DecodeScene(scene_bytes(1, uint64_t{1} << 60, 2, 0)).status());
+  ExpectCorruption(DecodeScene(scene_bytes(1, 2, 2, 1)).status());
+  ExpectCorruption(
+      DecodeScene(scene_bytes(1, 2, 2, ~uint64_t{0})).status());
 }
 
 // ------------------------------------------------- world round trip

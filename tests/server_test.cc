@@ -5,10 +5,8 @@
 // batching scheduler and the server's error paths.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +16,7 @@
 #include "server/walkthrough_server.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
+#include "temp_path.h"
 #include "walkthrough/experiment_testbed.h"
 #include "walkthrough/frame_loop.h"
 #include "walkthrough/visual_system.h"
@@ -25,21 +24,13 @@
 namespace hdov {
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
-}
-
 // One small world snapshot shared by every test in the suite (writing it
 // is the expensive part; the tests only read).
 class ServerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // Per-process path: ctest runs each test case as its own process, in
-    // parallel, and they must not clobber one another's snapshot.
-    path_ = new std::string(TempPath(
-        "hdov_server_test." + std::to_string(::getpid()) + ".hdov"));
+    // Per-process path (see temp_path.h).
+    path_ = new std::string(TempPath("hdov_server_test.hdov"));
     TestbedOptions topt;
     topt.blocks = 4;
     topt.cells = 4;

@@ -9,6 +9,7 @@
 
 #include "telemetry/flight_recorder.h"
 #include "telemetry/trace_context.h"
+#include "temp_path.h"
 
 namespace hdov {
 namespace {
@@ -29,10 +30,6 @@ using telemetry::SlowFrameEntry;
 using telemetry::SlowFrameOptions;
 using telemetry::StageTraceScope;
 using telemetry::TraceStage;
-
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + name;
-}
 
 FrameStageRecord MakeRecord(uint16_t session, uint64_t frame,
                             double wall_ms, double queue_ms = 0.0) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include "common/rng.h"
+#include "mesh/primitives.h"
 #include "scene/city_generator.h"
 #include "visibility/cubemap_buffer.h"
 #include "visibility/dov.h"
@@ -468,6 +472,315 @@ TEST(PrecomputeTest, ThreadedProgressIsSerializedAndMonotonic) {
                   .ok());
   EXPECT_EQ(last, 16u);
 }
+
+// ---------------------------------------------------------------------------
+// Exactness of the occlusion-culled DovComputer against the brute force:
+// every occluder triangle onto all six cube faces, in id order. Equality is
+// bit for bit, not approximate.
+
+const TriangleMesh* OccluderMesh(const Object& obj, const DovOptions& opt) {
+  if (opt.geometry != OccluderGeometry::kMeshLod || obj.lods.empty() ||
+      obj.lods.finest().mesh.empty()) {
+    return nullptr;
+  }
+  return &obj.lods
+              .level(std::min(opt.occluder_lod_level,
+                              obj.lods.num_levels() - 1))
+              .mesh;
+}
+
+std::vector<float> BruteForcePointDov(const Scene& scene,
+                                      const DovOptions& opt, const Vec3& p) {
+  CubeMapBuffer buffer(opt.cubemap);
+  buffer.Reset(p);
+  for (const Object& obj : scene.objects()) {
+    if (const TriangleMesh* mesh = OccluderMesh(obj, opt)) {
+      for (size_t t = 0; t < mesh->triangle_count(); ++t) {
+        auto [a, b, c] = mesh->TriangleVertices(t);
+        buffer.RasterizeTriangle(a, b, c, obj.id);
+      }
+    } else {
+      buffer.RasterizeBox(obj.mbr, obj.id);
+    }
+  }
+  std::vector<double> angles(scene.size(), 0.0);
+  buffer.AccumulateSolidAngles(&angles);
+  std::vector<float> dov(scene.size());
+  for (size_t i = 0; i < dov.size(); ++i) {
+    dov[i] = static_cast<float>(angles[i] * (1.0 / (4.0 * M_PI)));
+  }
+  return dov;
+}
+
+CellVisibility BruteForceCell(const Scene& scene, const CellGrid& grid,
+                              CellId c, const PrecomputeOptions& opt) {
+  std::vector<float> region(scene.size(), 0.0f);
+  for (Vec3 p : CellSamples(grid, c, opt.samples_per_cell)) {
+    if (opt.avoid_object_interiors) {
+      p = PushOutOfObjects(scene, p);
+    }
+    const std::vector<float> point = BruteForcePointDov(scene, opt.dov, p);
+    for (size_t i = 0; i < region.size(); ++i) {
+      region[i] = std::max(region[i], point[i]);
+    }
+  }
+  CellVisibility cell;
+  for (ObjectId id = 0; id < region.size(); ++id) {
+    if (region[id] > 0.0f) {
+      cell.ids.push_back(id);
+      cell.dov.push_back(region[id]);
+    }
+  }
+  return cell;
+}
+
+std::vector<uint32_t> Bits(const std::vector<float>& values) {
+  std::vector<uint32_t> bits(values.size());
+  std::transform(values.begin(), values.end(), bits.begin(),
+                 [](float v) { return std::bit_cast<uint32_t>(v); });
+  return bits;
+}
+
+void ExpectPointDovExact(const Scene& scene, const DovOptions& opt,
+                         const std::vector<Vec3>& viewpoints) {
+  DovComputer computer(&scene, opt);
+  for (const Vec3& p : viewpoints) {
+    const std::vector<float> expected = BruteForcePointDov(scene, opt, p);
+    EXPECT_EQ(Bits(computer.ComputePointDov(p)), Bits(expected))
+        << "viewpoint " << p.x << " " << p.y << " " << p.z;
+  }
+}
+
+void ExpectTableExact(const Scene& scene, const CellGrid& grid,
+                      const PrecomputeOptions& opt) {
+  Result<VisibilityTable> table = PrecomputeVisibility(scene, grid, opt);
+  ASSERT_TRUE(table.ok());
+  ASSERT_EQ(table->num_cells(), grid.num_cells());
+  for (CellId c = 0; c < grid.num_cells(); ++c) {
+    const CellVisibility expected = BruteForceCell(scene, grid, c, opt);
+    EXPECT_EQ(table->cell(c).ids, expected.ids) << "cell " << c;
+    EXPECT_EQ(Bits(table->cell(c).dov), Bits(expected.dov)) << "cell " << c;
+  }
+}
+
+Scene SceneOf(const std::vector<Aabb>& boxes) {
+  Scene scene;
+  for (const Aabb& box : boxes) {
+    scene.AddObject(ProxyBox(box));
+  }
+  return scene;
+}
+
+DovOptions FacesOf(int resolution) {
+  DovOptions opt;
+  opt.cubemap.face_resolution = resolution;
+  return opt;
+}
+
+TEST(PrecomputeExactnessTest, ViewpointInsideBox) {
+  // Eyes inside object 1, on its floor, on a face and on a corner. Its
+  // walls hide the far boxes; object 2, which overlaps it, can still show
+  // in front of them.
+  const Scene scene = SceneOf({
+      Aabb(Vec3(-30, -3, 0), Vec3(-20, 3, 9)),
+      Aabb(Vec3(-2, -2, 0), Vec3(2, 2, 6)),
+      Aabb(Vec3(1, -1, 1), Vec3(8, 1, 3)),  // Overlaps object 1.
+      Aabb(Vec3(15, -5, 0), Vec3(18, 5, 20)),
+      Aabb(Vec3(-5, 25, 0), Vec3(5, 28, 40)),
+  });
+  for (int res : {16, 64}) {
+    ExpectPointDovExact(scene, FacesOf(res),
+                        {Vec3(0, 0, 1.7), Vec3(1.5, 0.5, 2), Vec3(2, 0, 2),
+                         Vec3(0, 0, 0), Vec3(-2, -2, 6)});
+  }
+
+  // The same through PrecomputeVisibility, with the nudge off so that the
+  // cell samples stay inside the boxes.
+  CellGridOptions gopt;
+  gopt.cells_x = 3;
+  gopt.cells_y = 3;
+  Result<CellGrid> grid = CellGrid::Build(scene.bounds(), gopt);
+  ASSERT_TRUE(grid.ok());
+  PrecomputeOptions popt;
+  popt.dov = FacesOf(32);
+  popt.samples_per_cell = 9;
+  popt.avoid_object_interiors = false;
+  ExpectTableExact(scene, *grid, popt);
+}
+
+TEST(PrecomputeExactnessTest, BoxesStraddlingFaceAndEyePlanes) {
+  // Eye at the origin. Cube faces meet on the planes |x| = |y| etc., and
+  // the eye plane is z = 0: these boxes cross those planes, lie exactly on
+  // them, or touch them with one side.
+  const Scene scene = SceneOf({
+      Aabb(Vec3(5, 4, -1), Vec3(7, 6, 1)),      // Across x = y and z = 0.
+      Aabb(Vec3(10, 10, 0), Vec3(11, 11, 5)),   // Diagonal, floor at z = 0.
+      Aabb(Vec3(-9, -3, -4), Vec3(-8, 3, 0)),   // Roof at z = 0.
+      Aabb(Vec3(3, -3, -3), Vec3(4, 3, 3)),     // Edges on x = |y| = |z|.
+      Aabb(Vec3(-6, 6, 6), Vec3(-5, 7, 7)),     // Off on a cube corner ray.
+      Aabb(Vec3(0, 12, -2), Vec3(4, 13, 2)),    // Side at x = 0.
+      Aabb(Vec3(20, -30, -1), Vec3(21, 30, 1)),  // Spans three faces.
+      Aabb(Vec3(-1, -1, -40), Vec3(1, 1, -30)),  // Straight down.
+  });
+  for (int res : {16, 32, 128}) {
+    ExpectPointDovExact(scene, FacesOf(res),
+                        {Vec3(0, 0, 0), Vec3(0, 0, 1), Vec3(0.5, 0.5, 0),
+                         Vec3(1e-9, -1e-9, 1e-9)});
+  }
+}
+
+TEST(PrecomputeExactnessTest, CoplanarTouchingBoxesTieExactly) {
+  // Rows of boxes sharing whole sides, stacked boxes sharing a roof and a
+  // floor, and a duplicate box: equal inverse depths at many pixels, where
+  // the first-drawn-wins rule decides the owner.
+  std::vector<Aabb> boxes;
+  for (int i = 0; i < 6; ++i) {
+    boxes.emplace_back(Vec3(10 + 2 * i, -4, 0), Vec3(12 + 2 * i, 4, 6));
+    boxes.emplace_back(Vec3(-8, 4 * i, 0), Vec3(-6, 4 * i + 4, 3 + i));
+  }
+  boxes.emplace_back(Vec3(-3, -20, 0), Vec3(3, -18, 4));
+  boxes.emplace_back(Vec3(-3, -20, 4), Vec3(3, -18, 8));
+  boxes.emplace_back(Vec3(-3, -20, 0), Vec3(3, -18, 4));  // Duplicate.
+  boxes.emplace_back(Vec3(-3, -21, 0), Vec3(3, -20, 8));  // Shares y = -20.
+  // Coplanar fronts at x = -30: the slab is farther by MBR distance but
+  // has the lower id, so near-to-far and id order disagree on the tie.
+  boxes.emplace_back(Vec3(-40, -6, 0), Vec3(-30, 6, 1));
+  boxes.emplace_back(Vec3(-31, -2, 0), Vec3(-30, 2, 4));
+  const Scene scene = SceneOf(boxes);
+  for (int res : {16, 64}) {
+    ExpectPointDovExact(scene, FacesOf(res),
+                        {Vec3(0, 0, 1.7), Vec3(0, 0, 4), Vec3(-7, -5, 3),
+                         Vec3(11, 0, 10), Vec3(-20, 0, 1.7),
+                         Vec3(-20, 3, 0.5)});
+  }
+}
+
+TEST(PrecomputeExactnessTest, ZeroThicknessAndEmptyBoxes) {
+  const Scene scene = SceneOf({
+      Aabb(Vec3(8, -5, 0), Vec3(8, 5, 10)),     // Wall of zero thickness.
+      Aabb(Vec3(20, -10, 0), Vec3(22, 10, 20)),  // Behind the wall.
+      Aabb(),                                    // Empty.
+      Aabb(Vec3(-5, -5, 3), Vec3(5, 5, 3)),     // Zero-height slab.
+      Aabb(Vec3(3, 3, 3), Vec3(3, 3, 3)),       // A point.
+      Aabb(Vec3(-9, 2, 0), Vec3(-9, 2, 8)),     // A segment.
+      Aabb(Vec3(1, 1, 1), Vec3(-1, -1, -1)),    // Inverted (empty).
+      Aabb(Vec3(-20, -4, 0), Vec3(-18, 4, 12)),
+  });
+  for (int res : {16, 64}) {
+    ExpectPointDovExact(scene, FacesOf(res),
+                        {Vec3(0, 0, 1.7), Vec3(0, 0, 3), Vec3(8, 0, 5),
+                         Vec3(3, 3, 3)});
+  }
+}
+
+TEST(PrecomputeExactnessTest, MeshLodOutsideMbr) {
+  // kMeshLod rasterizes the coarsest LoD. Here that LoD pokes far outside
+  // the object's MBR, so culling by the MBR would lose pixels.
+  Scene scene;
+  for (int i = 0; i < 4; ++i) {
+    const Vec3 lo(12.0 + 10 * i, -3, 0);
+    const Vec3 hi(14.0 + 10 * i, 3, 6 + 2 * i);
+    LodLevel fine;
+    fine.mesh = MakeBox(lo, hi);
+    fine.triangle_count = static_cast<uint32_t>(fine.mesh.triangle_count());
+    LodLevel coarse;
+    const double reach = 4.0 + 6 * i;  // Spills above and sideways.
+    coarse.mesh.AddVertex(Vec3(lo.x, lo.y - reach, lo.z));
+    coarse.mesh.AddVertex(Vec3(lo.x, hi.y + reach, lo.z));
+    coarse.mesh.AddVertex(Vec3(lo.x, 0, hi.z + reach));
+    coarse.mesh.AddTriangle(0, 1, 2);
+    coarse.triangle_count = 1;
+    std::vector<LodLevel> levels;
+    levels.push_back(std::move(fine));
+    levels.push_back(std::move(coarse));
+    Result<LodChain> chain = LodChain::FromLevels(std::move(levels));
+    ASSERT_TRUE(chain.ok());
+    Object obj;
+    obj.mbr = Aabb(lo, hi);
+    obj.lods = std::move(*chain);
+    scene.AddObject(std::move(obj));
+  }
+  scene.AddObject(ProxyBox(Aabb(Vec3(70, -40, 0), Vec3(72, 40, 60))));
+  DovOptions opt = FacesOf(64);
+  opt.geometry = OccluderGeometry::kMeshLod;
+  ExpectPointDovExact(scene, opt,
+                      {Vec3(0, 0, 1.7), Vec3(0, 8, 1.7), Vec3(30, 0, 20)});
+  opt.occluder_lod_level = 0;  // The finest level: the MBR box itself.
+  ExpectPointDovExact(scene, opt, {Vec3(0, 0, 1.7), Vec3(0, 8, 1.7)});
+}
+
+// Differential sweep over city worlds. `cell_stride` > 1 checks every
+// stride-th cell of the grid through DovComputer::ComputeRegionDov (the
+// large preset is too slow to brute-force whole); otherwise the whole
+// table goes through PrecomputeVisibility on `threads` workers.
+struct SweepConfig {
+  int blocks;
+  int cells;
+  int face_resolution;
+  int samples;
+  uint32_t threads;
+  uint32_t cell_stride;
+};
+
+class PrecomputeDifferentialTest
+    : public ::testing::TestWithParam<SweepConfig> {};
+
+TEST_P(PrecomputeDifferentialTest, MatchesBruteForceBitForBit) {
+  const SweepConfig& cfg = GetParam();
+  CityOptions copt;
+  copt.mode = GeometryMode::kProxy;
+  copt.blocks_x = cfg.blocks;
+  copt.blocks_y = cfg.blocks;
+  Result<Scene> city = GenerateCity(copt);
+  ASSERT_TRUE(city.ok());
+  CellGridOptions gopt;
+  gopt.cells_x = cfg.cells;
+  gopt.cells_y = cfg.cells;
+  Result<CellGrid> grid = CellGrid::Build(city->bounds(), gopt);
+  ASSERT_TRUE(grid.ok());
+  PrecomputeOptions popt;
+  popt.dov = FacesOf(cfg.face_resolution);
+  popt.samples_per_cell = cfg.samples;
+  popt.threads = cfg.threads;
+  if (cfg.cell_stride <= 1) {
+    ExpectTableExact(*city, *grid, popt);
+    return;
+  }
+  DovComputer computer(&*city, popt.dov);
+  for (CellId c = 0; c < grid->num_cells(); c += cfg.cell_stride) {
+    std::vector<Vec3> samples = CellSamples(*grid, c, cfg.samples);
+    for (Vec3& p : samples) {
+      p = PushOutOfObjects(*city, p);
+    }
+    const CellVisibility expected = BruteForceCell(*city, *grid, c, popt);
+    const std::vector<float> region = computer.ComputeRegionDov(samples);
+    std::vector<float> dense(city->size(), 0.0f);
+    for (size_t i = 0; i < expected.ids.size(); ++i) {
+      dense[expected.ids[i]] = expected.dov[i];
+    }
+    EXPECT_EQ(Bits(region), Bits(dense)) << "cell " << c;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, PrecomputeDifferentialTest,
+    ::testing::Values(
+        // blocks, cells, faces, samples, threads, stride
+        SweepConfig{4, 4, 16, 1, 1, 1}, SweepConfig{4, 4, 32, 5, 4, 1},
+        SweepConfig{4, 5, 64, 9, 1, 1}, SweepConfig{4, 4, 128, 5, 4, 1},
+        SweepConfig{8, 4, 16, 9, 4, 1}, SweepConfig{8, 4, 32, 1, 1, 1},
+        SweepConfig{8, 4, 64, 5, 4, 1}, SweepConfig{8, 3, 128, 1, 1, 1},
+        // The large preset: 20 x 20 blocks, 24 x 24 cells.
+        SweepConfig{20, 24, 64, 5, 1, 47}, SweepConfig{20, 24, 32, 9, 1, 89},
+        SweepConfig{20, 24, 128, 1, 1, 71}, SweepConfig{20, 24, 16, 5, 1, 97}),
+    [](const ::testing::TestParamInfo<SweepConfig>& info) {
+      const SweepConfig& c = info.param;
+      return "blocks" + std::to_string(c.blocks) + "_faces" +
+             std::to_string(c.face_resolution) + "_samples" +
+             std::to_string(c.samples) + "_threads" +
+             std::to_string(c.threads) + "_stride" +
+             std::to_string(c.cell_stride);
+    });
 
 TEST(CellVisibilityTest, DovOfLookup) {
   CellVisibility cell;
