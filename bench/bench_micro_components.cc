@@ -25,6 +25,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/page_device.h"
 #include "telemetry/flight_recorder.h"
+#include "testbed/testbed_glue.h"
 #include "visibility/cubemap_buffer.h"
 #include "visibility/precompute.h"
 
@@ -224,6 +225,52 @@ BENCHMARK(BM_PrecomputeVisibilityThreads)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// The DoV raster kernel alone at the perfbench `build` settings (large
+// preset world, 64^2 cube faces, 5 samples per cell, one thread), over a
+// fixed set of cells. Samples and the computer are set up once, so an
+// iteration is pure ComputeRegionDov; the per_sample column (seconds) is
+// comparable with perfbench's single-thread visibility.us_per_sample.
+void BM_DovComputerRegion(benchmark::State& state) {
+  TestbedOptions topt;
+  testbed::ApplyLargeScalePreset(&topt);
+  topt.face_resolution = 64;
+  CityOptions copt;
+  copt.mode = GeometryMode::kProxy;
+  copt.blocks_x = topt.blocks;
+  copt.blocks_y = topt.blocks;
+  copt.seed = topt.seed;
+  Scene scene = std::move(*GenerateCity(copt));
+  CellGridOptions gopt;
+  gopt.cells_x = topt.cells;
+  gopt.cells_y = topt.cells;
+  CellGrid grid = std::move(*CellGrid::Build(scene.bounds(), gopt));
+
+  std::vector<std::vector<Vec3>> cells;
+  for (CellId c = 0; c < grid.num_cells(); c += 23) {
+    std::vector<Vec3> samples = CellSamples(grid, c, topt.samples_per_cell);
+    for (Vec3& p : samples) {
+      p = PushOutOfObjects(scene, p);
+    }
+    cells.push_back(std::move(samples));
+  }
+  DovOptions dopt;
+  dopt.cubemap.face_resolution = topt.face_resolution;
+  DovComputer computer(&scene, dopt);
+  int64_t samples = 0;
+  for (auto _ : state) {
+    for (const std::vector<Vec3>& cell : cells) {
+      std::vector<float> region = computer.ComputeRegionDov(cell);
+      benchmark::DoNotOptimize(region.data());
+      samples += static_cast<int64_t>(cell.size());
+    }
+  }
+  state.SetItemsProcessed(samples);
+  state.counters["per_sample"] = benchmark::Counter(
+      static_cast<double>(samples),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DovComputerRegion)->Unit(benchmark::kMillisecond);
 
 // Ablation: full HDoV search with and without the Eq. 4 NVO heuristic.
 class SearchFixture {

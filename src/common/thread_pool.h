@@ -59,8 +59,10 @@ class ThreadPool {
   // plus the calling thread (1 in inline mode).
   size_t num_slots() const { return workers_.size() + 1; }
 
-  // Resolves a user-facing thread-count option: 0 = one worker per
-  // hardware thread, otherwise the value itself.
+  // Resolves a user-facing thread-count option to the pool size to
+  // construct: 0 = one worker per hardware thread, otherwise the value
+  // itself. A pool of N >= 2 workers runs ParallelFor on N + 1 threads
+  // (the workers plus the caller); 1 runs inline on the caller alone.
   static size_t ResolveThreads(size_t requested);
 
  private:

@@ -16,6 +16,9 @@ namespace {
 constexpr size_t kEntryBytes = 6 * sizeof(double) + sizeof(uint64_t) +
                                sizeof(uint32_t) + sizeof(uint64_t);
 
+// Manifest node reference: u64 page | u32 offset.
+constexpr size_t kNodeRefBytes = sizeof(uint64_t) + sizeof(uint32_t);
+
 }  // namespace
 
 std::string HdovTree::SerializeNode(const HdovNode& node) {
@@ -179,6 +182,7 @@ Result<HdovTree> HdovTree::FromManifest(PageDevice* device,
   if (num_nodes == 0) {
     return Status::Corruption("hdov tree: empty manifest");
   }
+  HDOV_RETURN_IF_ERROR(decoder.CheckCount(num_nodes, kNodeRefBytes));
   tree.nodes_.resize(num_nodes);
   tree.dfs_order_.resize(num_nodes);
   for (uint32_t i = 0; i < num_nodes; ++i) {
@@ -196,10 +200,12 @@ Result<HdovTree> HdovTree::FromManifest(PageDevice* device,
   tree.root_ = tree.dfs_order_.front();
   uint32_t num_objects = 0;
   HDOV_RETURN_IF_ERROR(decoder.DecodeFixed32(&num_objects));
+  HDOV_RETURN_IF_ERROR(decoder.CheckCount(num_objects, sizeof(uint32_t)));
   tree.object_models_.resize(num_objects);
   for (uint32_t i = 0; i < num_objects; ++i) {
     uint32_t levels = 0;
     HDOV_RETURN_IF_ERROR(decoder.DecodeFixed32(&levels));
+    HDOV_RETURN_IF_ERROR(decoder.CheckCount(levels, sizeof(uint64_t)));
     tree.object_models_[i].reserve(levels);
     for (uint32_t l = 0; l < levels; ++l) {
       uint64_t model = 0;

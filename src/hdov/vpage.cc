@@ -20,6 +20,8 @@ Status ParseVPage(std::string_view data, VPage* page) {
   Decoder decoder(data);
   uint32_t count = 0;
   HDOV_RETURN_IF_ERROR(decoder.DecodeFixed32(&count));
+  HDOV_RETURN_IF_ERROR(
+      decoder.CheckCount(count, sizeof(float) + sizeof(uint32_t)));
   page->clear();
   page->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

@@ -75,8 +75,9 @@ std::pair<int, int> CentreRange(const Interval& r, double dlo, double dhi,
 CubeMapBuffer::CubeMapBuffer(const CubeMapOptions& options)
     : options_(options), res_(std::max(2, options.face_resolution)) {
   const size_t pixels = static_cast<size_t>(6) * res_ * res_;
-  items_.assign(pixels, kNoItem);
   inv_depth_.assign(pixels, 0.0f);
+  lo_.assign(pixels, kNoItem);
+  above_.assign(pixels, kNoItem);
 
   // Face bases: forward, right, up per face. The (right, up) choice only
   // fixes the pixel grid orientation; solid angles are unaffected.
@@ -109,8 +110,9 @@ double CubeMapBuffer::CornerSolidAngle(double x, double y) {
 
 void CubeMapBuffer::Reset(const Vec3& viewpoint) {
   viewpoint_ = viewpoint;
-  std::fill(items_.begin(), items_.end(), kNoItem);
   std::fill(inv_depth_.begin(), inv_depth_.end(), 0.0f);
+  std::fill(lo_.begin(), lo_.end(), kNoItem);
+  std::fill(above_.begin(), above_.end(), kNoItem);
 }
 
 void CubeMapBuffer::RasterizeTriangle(const Vec3& a, const Vec3& b,
@@ -167,10 +169,10 @@ void CubeMapBuffer::RasterizeOnFace(int face, const Vec3* poly, int n,
     w[i] = inv;
   }
 
-  uint32_t* face_items = items_.data() + static_cast<size_t>(face) * res_ *
-                                              res_;
-  float* face_depth = inv_depth_.data() + static_cast<size_t>(face) * res_ *
-                                              res_;
+  const size_t face_offset = static_cast<size_t>(face) * res_ * res_;
+  float* face_depth = inv_depth_.data() + face_offset;
+  uint32_t* face_lo = lo_.data() + face_offset;
+  uint32_t* face_above = above_.data() + face_offset;
 
   // Fan-triangulate and raster each triangle with edge functions.
   for (int k = 1; k + 1 < n; ++k) {
@@ -219,17 +221,15 @@ void CubeMapBuffer::RasterizeOnFace(int face, const Vec3* poly, int n,
         }
         const double inv_depth = w0 * ws[0] + w1 * ws[1] + w2 * ws[2];
         const size_t pixel = static_cast<size_t>(j) * res_ + i;
-        if (inv_depth > face_depth[pixel]) {
-          face_depth[pixel] = static_cast<float>(inv_depth);
-          face_items[pixel] = item;
-        }
+        UpdatePixel(inv_depth, item, &face_depth[pixel], &face_lo[pixel],
+                    &face_above[pixel]);
       }
     }
   }
 }
 
 void CubeMapBuffer::RasterizeBox(const Aabb& box, uint32_t item,
-                                 uint8_t faces, bool front_only) {
+                                 uint8_t faces) {
   if (box.IsEmpty()) {
     return;
   }
@@ -245,18 +245,7 @@ void CubeMapBuffer::RasterizeBox(const Aabb& box, uint32_t item,
       {0, 4, 6, 2},  // left
       {1, 3, 7, 5},  // right
   };
-  // Whether each quad faces the viewpoint (which lies strictly on the
-  // quad's outer side).
-  const bool facing[6] = {
-      viewpoint_.z < box.min.z, viewpoint_.z > box.max.z,
-      viewpoint_.y < box.min.y, viewpoint_.y > box.max.y,
-      viewpoint_.x < box.min.x, viewpoint_.x > box.max.x,
-  };
-  for (int q = 0; q < 6; ++q) {
-    if (front_only && !facing[q]) {
-      continue;
-    }
-    const int* v = kQuads[q];
+  for (const int* v : kQuads) {
     RasterizeTriangle(c[v[0]], c[v[1]], c[v[2]], item, faces);
     RasterizeTriangle(c[v[0]], c[v[2]], c[v[3]], item, faces);
   }
@@ -327,10 +316,9 @@ double CubeMapBuffer::AccumulateSolidAngles(
     std::vector<double>* solid_angles) const {
   double total = 0.0;
   const size_t face_pixels = static_cast<size_t>(res_) * res_;
-  for (int face = 0; face < 6; ++face) {
-    const uint32_t* face_items = items_.data() + face * face_pixels;
+  for (size_t base = 0; base < lo_.size(); base += face_pixels) {
     for (size_t p = 0; p < face_pixels; ++p) {
-      const uint32_t item = face_items[p];
+      const uint32_t item = PixelOwner(lo_[base + p], above_[base + p]);
       if (item == kNoItem) {
         continue;
       }
@@ -347,10 +335,9 @@ double CubeMapBuffer::AccumulateSolidAngles(
 double CubeMapBuffer::SolidAngleOf(uint32_t item) const {
   double total = 0.0;
   const size_t face_pixels = static_cast<size_t>(res_) * res_;
-  for (int face = 0; face < 6; ++face) {
-    const uint32_t* face_items = items_.data() + face * face_pixels;
+  for (size_t base = 0; base < lo_.size(); base += face_pixels) {
     for (size_t p = 0; p < face_pixels; ++p) {
-      if (face_items[p] == item) {
+      if (PixelOwner(lo_[base + p], above_[base + p]) == item) {
         total += pixel_solid_angle_[p];
       }
     }
@@ -361,10 +348,9 @@ double CubeMapBuffer::SolidAngleOf(uint32_t item) const {
 double CubeMapBuffer::TotalCoverage() const {
   double covered = 0.0;
   const size_t face_pixels = static_cast<size_t>(res_) * res_;
-  for (int face = 0; face < 6; ++face) {
-    const uint32_t* face_items = items_.data() + face * face_pixels;
+  for (size_t base = 0; base < lo_.size(); base += face_pixels) {
     for (size_t p = 0; p < face_pixels; ++p) {
-      if (face_items[p] != kNoItem) {
+      if (PixelOwner(lo_[base + p], above_[base + p]) != kNoItem) {
         covered += pixel_solid_angle_[p];
       }
     }

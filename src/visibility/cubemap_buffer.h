@@ -9,13 +9,11 @@
 // This is the software substitute for the paper's hardware-accelerated DoV
 // computation (see DESIGN.md).
 //
-// Z-test. A write happens only when the interpolated inverse depth (a
-// double) is strictly greater than the stored float, which then becomes
-// that value rounded to float. So a pixel's stored inverse depth never
-// decreases, and on a tie the item drawn first keeps the pixel. Every
-// draw call takes a mask of cube faces (bit f = face f); a face's pixels
-// depend only on what was drawn onto that face, and drawing a triangle on
-// a subset of faces writes exactly what the full draw writes there.
+// Z-test. Whatever order items are drawn in, each pixel ends as drawing
+// them in item-id order would leave it (see UpdatePixel). Every draw call
+// takes a mask of cube faces (bit f = face f); a face's pixels depend only
+// on what was drawn onto that face, and drawing a triangle on a subset of
+// faces writes exactly what the full draw writes there.
 //
 // WritableFaces is the occlusion test DovComputer culls with (see dov.h for
 // why culling with it leaves every pixel exactly as the full draw would).
@@ -23,6 +21,7 @@
 #ifndef HDOV_VISIBILITY_CUBEMAP_BUFFER_H_
 #define HDOV_VISIBILITY_CUBEMAP_BUFFER_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -36,6 +35,38 @@ inline constexpr uint32_t kNoItem = ~static_cast<uint32_t>(0);
 
 // Cube-face masks: bit f selects face f (+x, -x, +y, -y, +z, -z).
 inline constexpr uint8_t kAllCubeFaces = 0x3f;
+
+// The per-pixel z-test. Drawing a pixel's candidates (inverse depth c,
+// item) in item-id order, writing when c exceeds the stored float and
+// storing float(c), leaves depth F = float(max c) and, as owner, the
+// largest item with float(c) = F and c > F (as doubles), else the smallest
+// item with float(c) = F: the first candidate with float(c) = F always
+// writes, and after it only those with c > F do. UpdatePixel keeps F, that
+// smallest item (`*lo`) and that largest one (`*above`, kNoItem for none),
+// which depend on the set of candidates, not on their order; PixelOwner
+// resolves them. Candidates are > 0 after near-plane clipping; any other
+// never writes in id order, so it is ignored.
+inline void UpdatePixel(double c, uint32_t item, float* depth, uint32_t* lo,
+                        uint32_t* above) {
+  if (!(c > 0.0)) {
+    return;
+  }
+  const float f = static_cast<float>(c);
+  if (f > *depth) {
+    *depth = f;
+    *lo = item;
+    *above = c > f ? item : kNoItem;
+  } else if (f == *depth) {
+    *lo = std::min(*lo, item);
+    if (c > f && (*above == kNoItem || item > *above)) {
+      *above = item;
+    }
+  }
+}
+
+inline uint32_t PixelOwner(uint32_t lo, uint32_t above) {
+  return above != kNoItem ? above : lo;
+}
 
 struct CubeMapOptions {
   // Pixels per cube face edge. 32 gives 6144 pixels (~0.2% solid-angle
@@ -58,11 +89,9 @@ class CubeMapBuffer {
   void RasterizeTriangle(const Vec3& a, const Vec3& b, const Vec3& c,
                          uint32_t item, uint8_t faces = kAllCubeFaces);
 
-  // Rasterizes the 12 triangles of `box` onto `faces`. With `front_only`,
-  // only the triangles of the box sides that face the viewpoint (the ones
-  // nearest to it along every ray that enters the box).
+  // Rasterizes the 12 triangles of `box` onto `faces`.
   void RasterizeBox(const Aabb& box, uint32_t item,
-                    uint8_t faces = kAllCubeFaces, bool front_only = false);
+                    uint8_t faces = kAllCubeFaces);
 
   // Conservative occlusion test of any geometry lying inside `bounds`:
   // the mask of cube faces it may still write. A face is left out only
@@ -100,8 +129,10 @@ class CubeMapBuffer {
   CubeMapOptions options_;
   int res_;
   Vec3 viewpoint_;
-  std::vector<uint32_t> items_;   // 6 * res * res.
+  // 6 * res * res each; see UpdatePixel.
   std::vector<float> inv_depth_;  // Larger = closer.
+  std::vector<uint32_t> lo_;
+  std::vector<uint32_t> above_;
   std::vector<double> pixel_solid_angle_;  // res * res (same per face).
   std::array<Face, 6> faces_;
 };

@@ -21,7 +21,6 @@ DovComputer::DovComputer(const Scene* scene, const DovOptions& options)
     : scene_(scene), buffer_(options.cubemap) {
   const size_t n = scene_->size();
   occluders_.resize(n);
-  masks_.resize(n);
   solid_angles_.resize(n);
   dov_.resize(n);
   order_.reserve(n);
@@ -52,10 +51,10 @@ void DovComputer::SortNearToFar(const Vec3& p) {
   }
 }
 
-void DovComputer::Draw(ObjectId id, uint8_t faces, bool front_only) {
+void DovComputer::Draw(ObjectId id, uint8_t faces) {
   const Occluder& occluder = occluders_[id];
   if (occluder.mesh == nullptr) {
-    buffer_.RasterizeBox(occluder.bounds, id, faces, front_only);
+    buffer_.RasterizeBox(occluder.bounds, id, faces);
     return;
   }
   const TriangleMesh& mesh = *occluder.mesh;
@@ -68,15 +67,9 @@ void DovComputer::Draw(ObjectId id, uint8_t faces, bool front_only) {
 void DovComputer::Render(const Vec3& p) {
   buffer_.Reset(p);
   for (ObjectId id : order_) {
-    masks_[id] = buffer_.WritableFaces(occluders_[id].bounds);
-    if (masks_[id] != 0) {
-      Draw(id, masks_[id], /*front_only=*/true);
-    }
-  }
-  buffer_.Reset(p);
-  for (ObjectId id = 0; id < masks_.size(); ++id) {
-    if (masks_[id] != 0) {
-      Draw(id, masks_[id], /*front_only=*/false);
+    const uint8_t faces = buffer_.WritableFaces(occluders_[id].bounds);
+    if (faces != 0) {
+      Draw(id, faces);
     }
   }
 }

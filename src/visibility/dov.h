@@ -2,41 +2,18 @@
 // every scene object from a viewpoint or a viewing region. Region DoV is
 // the conservative maximum over sample viewpoints (Eq. 2).
 //
-// Each viewpoint costs the fill of its visible set, not of the scene. Two
-// passes run on the one CubeMapBuffer:
+// Each viewpoint costs the fill of its visible set, not of the scene. One
+// pass draws the objects near to far (by MBR distance to the region's
+// first sample; the order affects speed only) onto one CubeMapBuffer, and
+// culls every (object, cube face) pair that CubeMapBuffer::WritableFaces
+// proves cannot write a pixel.
 //
-//  1. Witness pass. Objects are visited near to far (by MBR distance to
-//     the region's first sample; the order affects speed only). For each
-//     (object, cube face) pair, CubeMapBuffer::WritableFaces tests the
-//     occluder's bounds against what is already drawn. A pair that cannot
-//     write is culled. Otherwise the object's front-facing box sides (all
-//     triangles, for a mesh) are drawn onto that face, and the face's bit
-//     is set in the object's mask.
-//  2. Final pass. The buffer is reset, and every object with a non-zero
-//     mask is drawn in id order with all its triangles, onto its masked
-//     faces only.
-//
-// The result is exactly the brute-force one (every triangle of every
-// object onto all six faces, in id order), pixel for pixel:
-//  - The final pass draws only whole (object, face) pairs, with the same
-//    per-face clip and raster code, so it computes the same candidate
-//    inverse depths at a pixel as the brute force does, minus the culled
-//    pairs' candidates.
-//  - A culled pair can write only at pixels of the footprint
-//    WritableFaces tested (its slack covers the rasterizer's rounding for any triangle
-//    whose projected edges are longer than ~3e-8). At each of them, its
-//    candidate c was below `bound` < S, where S is the stored float left
-//    there by a witness draw, candidate w, of a kept pair. Pass 2 draws w
-//    again with the same arithmetic, and float(c) < S = float(w)
-//    (the test's margin).
-//  - Stored depth never decreases, and once w is processed it is at
-//    least float(w) > c, so a culled c after w never writes. A culled c
-//    before w may write float(c) < w. From then on the run with c holds
-//    float(c) and the run without it holds no more, until a draw writes
-//    in both (w does, at the latest); after that both hold the same
-//    (item, depth). Dropping the culled candidates one at a time (no
-//    witness is ever culled) thus leaves the brute-force result.
-// So the first-drawn-wins tie rule needs no order-independent z-test.
+// The result is the brute force's (every triangle of every object onto all
+// six faces) pixel for pixel: a pixel's (depth F, owner) depends only on
+// the set of its candidates (cubemap_buffer.h), and a culled candidate c
+// has float(c) < F, so it is never in the F class and skipping it changes
+// neither. (Not proved: WritableFaces' slack covers the rasterizer's
+// rounding only for projected edges longer than ~3e-8.)
 
 #ifndef HDOV_VISIBILITY_DOV_H_
 #define HDOV_VISIBILITY_DOV_H_
@@ -86,15 +63,14 @@ class DovComputer {
   };
 
   void SortNearToFar(const Vec3& p);
-  void Draw(ObjectId id, uint8_t faces, bool front_only);
-  void Render(const Vec3& p);  // The two passes.
+  void Draw(ObjectId id, uint8_t faces);
+  void Render(const Vec3& p);  // The culled near-to-far pass.
   const std::vector<float>& Accumulate();
 
   const Scene* scene_;
   CubeMapBuffer buffer_;
   std::vector<Occluder> occluders_;   // Indexed by ObjectId.
   std::vector<ObjectId> order_;       // Near to far.
-  std::vector<uint8_t> masks_;        // Kept cube faces per object.
   std::vector<double> solid_angles_;  // Scratch, one slot per object.
   std::vector<float> dov_;            // Last point result.
 };

@@ -4,13 +4,13 @@
 // pre-determined cells ... a DoV algorithm is then applied on the visible
 // set").
 //
-// Each viewpoint sample is evaluated by DovComputer in two passes on one
-// cube-map buffer: a near-to-far witness pass culls every (object, cube
-// face) pair that provably cannot change a pixel, and a final pass draws
-// only the surviving pairs in object-id order. The table is bit-identical
-// to rasterizing every object onto every face (the exactness argument is
-// in visibility/dov.h), at a cost that follows the visible set. The
-// near-to-far order is sorted once per cell, from its first sample.
+// Each viewpoint sample is evaluated by DovComputer in one near-to-far
+// pass on a cube-map buffer whose z-test does not depend on draw order,
+// culling every (object, cube face) pair that provably cannot change a
+// pixel. The table is bit-identical to rasterizing every object onto
+// every face (the exactness argument is in visibility/dov.h), at a cost
+// that follows the visible set. The near-to-far order is sorted once per
+// cell, from its first sample.
 //
 // Cells are independent of each other, so the pass fans out over a worker
 // pool (PrecomputeOptions::threads). Each worker owns a private
@@ -60,7 +60,8 @@ struct PrecomputeOptions {
   bool avoid_object_interiors = true;
 
   // Worker threads for the per-cell fan-out. 1 (default) runs entirely on
-  // the calling thread; 0 means one worker per hardware thread. Output is
+  // the calling thread; N >= 2 runs N workers plus the calling thread, and
+  // 0 one worker per hardware thread plus the calling thread. Output is
   // identical for every value (see the header comment).
   uint32_t threads = 1;
 

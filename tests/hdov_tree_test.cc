@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <new>
 #include <set>
 
+#include "common/coding.h"
 #include "hdov/builder.h"
 #include "hdov/hdov_tree.h"
 #include "hdov/search.h"
@@ -12,8 +16,68 @@
 #include "hdov/vpage.h"
 #include "scene/city_generator.h"
 
+namespace {
+
+// Largest single operator new request since the last reset: the
+// inflated-count tests check that a decoder sizes no container from a
+// count the input cannot hold. Every replaceable form is routed through
+// malloc/free, so that no sanitizer sees mixed allocators.
+std::atomic<size_t> largest_new{0};
+
+void* TrackedAlloc(std::size_t size) noexcept {
+  size_t seen = largest_new.load(std::memory_order_relaxed);
+  while (size > seen && !largest_new.compare_exchange_weak(seen, size)) {
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = TrackedAlloc(size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return TrackedAlloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return TrackedAlloc(size);
+}
+// Not inlined, so that GCC does not pair a free() with a new-expression
+// in a caller and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
 namespace hdov {
 namespace {
+
+// Far below what the counts below would demand (>= 4 MiB), far above any
+// buffer a decode of the fixture's bytes needs.
+constexpr size_t kAllocBound = size_t{1} << 20;
+
+// `bytes` with the u32 at `at` replaced by `count`.
+std::string WithCount(std::string bytes, size_t at, uint32_t count) {
+  std::string field;
+  EncodeFixed32(&field, count);
+  return bytes.replace(at, field.size(), field);
+}
 
 TEST(VPageTest, SerializeRoundTrip) {
   VPage page = {{0.25f, 3}, {0.0f, 0}, {0.125f, 1}};
@@ -48,6 +112,19 @@ TEST(VPageTest, TruncatedRecordIsCorruption) {
   VPage back;
   EXPECT_TRUE(ParseVPage(std::string_view(record).substr(0, 5), &back)
                   .IsCorruption());
+}
+
+TEST(VPageTest, InflatedCountIsCorruptionWithoutAllocating) {
+  const std::string record = SerializeVPage({{0.5f, 1}, {0.25f, 2}}, 4);
+  for (uint32_t count : {5u, 1u << 20, 0xffffffffu}) {
+    VPage page;
+    largest_new = 0;
+    const Status status = ParseVPage(WithCount(record, 0, count), &page);
+    const size_t largest = largest_new;
+    EXPECT_TRUE(status.IsCorruption()) << count;
+    EXPECT_EQ(page.capacity(), 0u) << count;
+    EXPECT_LT(largest, kAllocBound) << count;
+  }
 }
 
 // Shared fixture: a small proxy city with precomputed visibility and a
@@ -658,6 +735,30 @@ TEST_F(HdovFixture, FullPersistenceRoundTrip) {
       EXPECT_EQ(a[i].owner, b[i].owner);
       EXPECT_EQ(a[i].lod_level, b[i].lod_level);
       EXPECT_EQ(a[i].model, b[i].model);
+    }
+  }
+}
+
+TEST_F(HdovFixture, ManifestInflatedCountsAreCorruptionWithoutAllocating) {
+  PageDevice device;
+  HdovTree packed = *tree_;
+  ASSERT_TRUE(packed.Pack(&device).ok());
+  std::string manifest;
+  ASSERT_TRUE(packed.EncodeManifest(&manifest).ok());
+  ASSERT_TRUE(HdovTree::FromManifest(&device, manifest).ok());
+  // u32 num_nodes | u64 fanout | f64 s_ratio | 12-byte node references |
+  // u32 num_objects | per object: u32 levels | levels x u64 model.
+  const size_t num_objects_at = 20 + 12 * packed.num_nodes();
+  ASSERT_GT(packed.object_models().size(), 0u);
+  for (size_t at : {size_t{0}, num_objects_at, num_objects_at + 4}) {
+    for (uint32_t count : {1u << 20, 0xffffffffu}) {
+      largest_new = 0;
+      const Status status =
+          HdovTree::FromManifest(&device, WithCount(manifest, at, count))
+              .status();
+      const size_t largest = largest_new;
+      EXPECT_TRUE(status.IsCorruption()) << at << " " << status.ToString();
+      EXPECT_LT(largest, kAllocBound) << at << " " << count;
     }
   }
 }

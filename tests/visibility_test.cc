@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "common/rng.h"
@@ -96,6 +97,35 @@ TEST(CubeMapTest, AccumulateMatchesPerItemScan) {
   EXPECT_NEAR(angles[1], buffer.SolidAngleOf(1), 1e-12);
 }
 
+TEST(CubeMapTest, DuplicateItemsSplitTiesByRounding) {
+  // The same box as items 0 and 1 gives equal candidates at every pixel.
+  // In id order item 1 overwrites exactly where its candidate rounds down
+  // onto the stored float, so on oblique sides both items own pixels.
+  CubeMapOptions opt;
+  opt.face_resolution = 32;
+  const Aabb box(Vec3(4, -3, -2), Vec3(7, 5, 3));
+  CubeMapBuffer single(opt);
+  single.Reset(Vec3(0.3, 0.1, 0.2));
+  single.RasterizeBox(box, 0);
+  for (bool reversed : {false, true}) {
+    CubeMapBuffer buffer(opt);
+    buffer.Reset(single.viewpoint());
+    buffer.RasterizeBox(box, reversed ? 1 : 0);
+    buffer.RasterizeBox(box, reversed ? 0 : 1);
+    std::vector<double> angles(2, 0.0);
+    buffer.AccumulateSolidAngles(&angles);
+    EXPECT_GT(angles[0], 0.0);
+    EXPECT_GT(angles[1], 0.0);
+    EXPECT_EQ(std::bit_cast<uint64_t>(angles[0]),
+              std::bit_cast<uint64_t>(buffer.SolidAngleOf(0)));
+    EXPECT_EQ(std::bit_cast<uint64_t>(angles[1]),
+              std::bit_cast<uint64_t>(buffer.SolidAngleOf(1)));
+    EXPECT_NEAR(angles[0] + angles[1], single.SolidAngleOf(0), 1e-12);
+    EXPECT_EQ(std::bit_cast<uint64_t>(buffer.TotalCoverage()),
+              std::bit_cast<uint64_t>(single.TotalCoverage()));
+  }
+}
+
 TEST(CubeMapTest, SurroundingGeometrySeenOnAllFaces) {
   CubeMapOptions opt;
   opt.face_resolution = 16;
@@ -113,6 +143,137 @@ TEST(CubeMapTest, SurroundingGeometrySeenOnAllFaces) {
   }
   for (int i = 0; i < 6; ++i) {
     EXPECT_GT(buffer.SolidAngleOf(i), 0.0) << "direction " << i;
+  }
+}
+
+// ------------------------------------------------- per-pixel z-test
+
+template <typename T>
+void Shuffle(std::vector<T>* v, Rng* rng) {
+  for (size_t i = v->size(); i > 1; --i) {
+    std::swap((*v)[i - 1], (*v)[rng->NextUint64(i)]);
+  }
+}
+
+struct Candidate {
+  double c;
+  uint32_t item;
+};
+
+struct PixelResult {
+  float depth;
+  uint32_t owner;
+};
+
+// The z-test as a literal replay: candidates in item-id order, a write
+// whenever c exceeds the stored float, which then becomes float(c).
+PixelResult SequentialReplay(std::vector<Candidate> stream) {
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const Candidate& a, const Candidate& b) {
+                     return a.item < b.item;
+                   });
+  PixelResult r{0.0f, kNoItem};
+  for (const Candidate& k : stream) {
+    if (k.c > r.depth) {
+      r.depth = static_cast<float>(k.c);
+      r.owner = k.item;
+    }
+  }
+  return r;
+}
+
+PixelResult UpdateInStreamOrder(const std::vector<Candidate>& stream) {
+  float depth = 0.0f;
+  uint32_t lo = kNoItem;
+  uint32_t above = kNoItem;
+  for (const Candidate& k : stream) {
+    UpdatePixel(k.c, k.item, &depth, &lo, &above);
+  }
+  return {depth, PixelOwner(lo, above)};
+}
+
+// UpdatePixel over `stream` in its own order and in `rounds` random
+// permutations must give the replay's depth bits and owner.
+void ExpectReplayResult(std::vector<Candidate> stream, int rounds, Rng* rng) {
+  const PixelResult want = SequentialReplay(stream);
+  for (int round = 0; round <= rounds; ++round) {
+    const PixelResult got = UpdateInStreamOrder(stream);
+    ASSERT_EQ(std::bit_cast<uint32_t>(got.depth),
+              std::bit_cast<uint32_t>(want.depth));
+    ASSERT_EQ(got.owner, want.owner);
+    Shuffle(&stream, rng);
+  }
+}
+
+// Doubles at and around float `f`: f itself, its neighbours one double
+// ulp away (which round to f), the midpoints to the adjacent floats
+// (which round to even) and their neighbours.
+std::vector<double> AroundFloat(float f) {
+  const double x = f;
+  const double up = std::nextafter(f, std::numeric_limits<float>::infinity());
+  const double down = std::nextafter(f, 0.0f);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {x, std::nextafter(x, inf),
+                                std::nextafter(x, 0.0)};
+  for (double mid : {(x + up) / 2, (x + down) / 2}) {
+    values.insert(values.end(),
+                  {mid, std::nextafter(mid, inf), std::nextafter(mid, 0.0)});
+  }
+  return values;
+}
+
+TEST(PixelZTestTest, EmptyPixelHasNoOwner) {
+  Rng rng(1);
+  ExpectReplayResult({}, 0, &rng);
+  EXPECT_EQ(UpdateInStreamOrder({}).owner, kNoItem);
+  // Only candidates that never write in id order.
+  const std::vector<Candidate> never = {
+      {0.0, 2}, {-0.0, 0}, {-1.5, 1}, {std::nan(""), 3}};
+  ExpectReplayResult(never, 6, &rng);
+  EXPECT_EQ(UpdateInStreamOrder(never).owner, kNoItem);
+  EXPECT_EQ(UpdateInStreamOrder(never).depth, 0.0f);
+}
+
+TEST(PixelZTestTest, TiesAtOneFloat) {
+  const double x = 0.1f;  // Exactly representable.
+  const double above = std::nextafter(x, 1.0);
+  const double below = std::nextafter(x, 0.0);
+  // Exact ties: the lowest id keeps the pixel.
+  EXPECT_EQ(UpdateInStreamOrder({{x, 5}, {x, 2}, {x, 7}}).owner, 2u);
+  // Candidates rounding down onto the stored float overwrite it, so the
+  // highest such id wins.
+  EXPECT_EQ(UpdateInStreamOrder({{above, 1}, {x, 0}, {above, 4}}).owner, 4u);
+  EXPECT_EQ(UpdateInStreamOrder({{x, 3}, {above, 1}}).owner, 1u);
+  // Candidates rounding up onto it never overwrite.
+  EXPECT_EQ(UpdateInStreamOrder({{below, 6}, {x, 8}}).owner, 6u);
+  EXPECT_EQ(UpdateInStreamOrder({{below, 6}, {below, 2}}).owner, 2u);
+  // A nearer float beats every tie.
+  EXPECT_EQ(UpdateInStreamOrder({{above, 9}, {0.2, 3}, {x, 1}}).owner, 3u);
+}
+
+TEST(PixelZTestTest, MatchesSequentialReplayInAnyOrder) {
+  std::vector<double> pool;
+  for (float f : {1.0f, 0.1f, 3.5e-3f, 1e6f, 7.0f / 3.0f,
+                  std::nextafter(0.1f, 1.0f)}) {
+    const std::vector<double> around = AroundFloat(f);
+    pool.insert(pool.end(), around.begin(), around.end());
+  }
+  // Underflow to float zero, the smallest subnormal, and non-candidates.
+  pool.insert(pool.end(), {1e-50, 1.4e-45, 0.0, -2.0});
+  Rng rng(20031);
+  for (int trial = 0; trial < 4000; ++trial) {
+    // A few values per stream so that ties are the common case.
+    std::vector<double> values;
+    const int distinct = rng.UniformInt(1, 4);
+    for (int i = 0; i < distinct; ++i) {
+      values.push_back(pool[rng.NextUint64(pool.size())]);
+    }
+    std::vector<Candidate> stream(rng.UniformInt(0, 12));
+    for (Candidate& k : stream) {
+      k.c = values[rng.NextUint64(values.size())];
+      k.item = static_cast<uint32_t>(rng.NextUint64(6));  // Duplicates.
+    }
+    ExpectReplayResult(stream, 6, &rng);
   }
 }
 
@@ -707,6 +868,61 @@ TEST(PrecomputeExactnessTest, MeshLodOutsideMbr) {
                       {Vec3(0, 0, 1.7), Vec3(0, 8, 1.7), Vec3(30, 0, 20)});
   opt.occluder_lod_level = 0;  // The finest level: the MBR box itself.
   ExpectPointDovExact(scene, opt, {Vec3(0, 0, 1.7), Vec3(0, 8, 1.7)});
+}
+
+// The boxes of CoplanarTouchingBoxesTieExactly: exact depth ties at many
+// pixels, and a duplicate box.
+std::vector<Aabb> CoplanarTouchingBoxes() {
+  std::vector<Aabb> boxes;
+  for (int i = 0; i < 6; ++i) {
+    boxes.emplace_back(Vec3(10 + 2 * i, -4, 0), Vec3(12 + 2 * i, 4, 6));
+    boxes.emplace_back(Vec3(-8, 4 * i, 0), Vec3(-6, 4 * i + 4, 3 + i));
+  }
+  boxes.emplace_back(Vec3(-3, -20, 0), Vec3(3, -18, 4));
+  boxes.emplace_back(Vec3(-3, -20, 4), Vec3(3, -18, 8));
+  boxes.emplace_back(Vec3(-3, -20, 0), Vec3(3, -18, 4));
+  boxes.emplace_back(Vec3(-3, -21, 0), Vec3(3, -20, 8));
+  boxes.emplace_back(Vec3(-40, -6, 0), Vec3(-30, 6, 1));
+  boxes.emplace_back(Vec3(-31, -2, 0), Vec3(-30, 2, 4));
+  return boxes;
+}
+
+TEST(CubeMapDrawOrderTest, TiedBoxesGiveTheSameBufferInAnyOrder) {
+  const std::vector<Aabb> boxes = CoplanarTouchingBoxes();
+  const uint32_t n = static_cast<uint32_t>(boxes.size());
+  Rng rng(7);
+  for (int res : {16, 64}) {
+    CubeMapOptions opt;
+    opt.face_resolution = res;
+    for (const Vec3& p : {Vec3(0, 0, 1.7), Vec3(0, 0, 4), Vec3(-7, -5, 3),
+                          Vec3(11, 0, 10), Vec3(-20, 0, 1.7),
+                          Vec3(-20, 3, 0.5)}) {
+      CubeMapBuffer id_order(opt);
+      id_order.Reset(p);
+      for (uint32_t i = 0; i < n; ++i) {
+        id_order.RasterizeBox(boxes[i], i);
+      }
+      std::vector<uint32_t> order(n);
+      for (uint32_t i = 0; i < n; ++i) {
+        order[i] = n - 1 - i;  // Reverse id order first.
+      }
+      for (int round = 0; round < 6; ++round) {
+        CubeMapBuffer shuffled(opt);
+        shuffled.Reset(p);
+        for (uint32_t i : order) {
+          shuffled.RasterizeBox(boxes[i], i);
+        }
+        for (uint32_t i = 0; i < n; ++i) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(shuffled.SolidAngleOf(i)),
+                    std::bit_cast<uint64_t>(id_order.SolidAngleOf(i)))
+              << "item " << i << " res " << res << " round " << round;
+        }
+        EXPECT_EQ(std::bit_cast<uint64_t>(shuffled.TotalCoverage()),
+                  std::bit_cast<uint64_t>(id_order.TotalCoverage()));
+        Shuffle(&order, &rng);
+      }
+    }
+  }
 }
 
 // Differential sweep over city worlds. `cell_stride` > 1 checks every
