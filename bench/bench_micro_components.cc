@@ -5,7 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -13,8 +12,6 @@
 
 #include "common/rng.h"
 #include "hdov/builder.h"
-#include "hdov/flat_search.h"
-#include "hdov/flat_tree.h"
 #include "hdov/search.h"
 #include "mesh/primitives.h"
 #include "rtree/linear_split.h"
@@ -289,8 +286,6 @@ class SearchFixture {
   PageDevice store_device;
   std::unique_ptr<VisibilityStore> store;
   std::unique_ptr<HdovSearcher> searcher;
-  std::unique_ptr<FlatHdovTree> flat;
-  std::unique_ptr<FlatSearcher> flat_searcher;
 
  private:
   SearchFixture() {
@@ -318,10 +313,6 @@ class SearchFixture {
                 .value();
     searcher = std::make_unique<HdovSearcher>(tree.get(), &scene,
                                               models.get(), nullptr);
-    flat = std::make_unique<FlatHdovTree>(
-        std::move(*FlatHdovTree::Compile(*tree)));
-    flat_searcher = std::make_unique<FlatSearcher>(flat.get(), &scene,
-                                                   models.get(), nullptr);
   }
 };
 
@@ -352,80 +343,6 @@ BENCHMARK(BM_HdovSearch)
     ->Args({800, 0})    // eta = 0.008, Eq. 4.
     ->Args({800, 2});   // eta = 0.008, cost model.
 
-// The same queries through the flat backend (packed SoA tree + bitmap
-// V-page index). Same args as BM_HdovSearch, so the wall-time comparison
-// of the two Fig. 3 implementations reads straight off the report; the
-// simulated work per query is bit-identical by construction (see
-// tests/flat_search_test.cc).
-void BM_HdovSearchFlat(benchmark::State& state) {
-  SearchFixture& fx = SearchFixture::Get();
-  SearchOptions opt;
-  opt.eta = static_cast<double>(state.range(0)) / 100000.0;
-  opt.heuristic = static_cast<TerminationHeuristic>(state.range(1));
-  std::vector<RetrievedLod> result;
-  CellId cell = 0;
-  uint64_t total_items = 0;
-  uint64_t queries = 0;
-  for (auto _ : state) {
-    (void)fx.flat_searcher->Search(fx.store.get(), cell, opt, &result);
-    benchmark::DoNotOptimize(result.data());
-    total_items += result.size();
-    ++queries;
-    cell = (cell + 1) % fx.grid->num_cells();
-  }
-  state.counters["avg_result_items"] =
-      static_cast<double>(total_items) / static_cast<double>(queries);
-}
-BENCHMARK(BM_HdovSearchFlat)
-    ->Args({0, 0})      // eta = 0.
-    ->Args({100, 0})    // eta = 0.001, Eq. 4.
-    ->Args({100, 1})    // eta = 0.001, eta-only (ablation).
-    ->Args({100, 2})    // eta = 0.001, cost model (extension).
-    ->Args({800, 0})    // eta = 0.008, Eq. 4.
-    ->Args({800, 2});   // eta = 0.008, cost model.
-
-// One-time cost of compiling the packed layout from a built tree (paid at
-// world load; amortized over every query after).
-void BM_FlatTreeCompile(benchmark::State& state) {
-  SearchFixture& fx = SearchFixture::Get();
-  for (auto _ : state) {
-    Result<FlatHdovTree> flat = FlatHdovTree::Compile(*fx.tree);
-    benchmark::DoNotOptimize(flat.ok());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.tree->num_nodes()));
-}
-BENCHMARK(BM_FlatTreeCompile);
-
-// Rank/select probes of the per-cell V-page bitmap index vs the
-// indexed-vertical store's per-lookup binary search over the same
-// segment.
-void BM_VPageIndexLookup(benchmark::State& state) {
-  SearchFixture& fx = SearchFixture::Get();
-  const bool bitmap = state.range(0) == 1;
-  (void)fx.store->BeginCell(0);
-  std::vector<uint32_t> nodes;
-  std::vector<uint64_t> slots;
-  (void)fx.store->FillSegment(&nodes, &slots);
-  VPageBitmapIndex index;
-  index.Rebuild(static_cast<uint32_t>(fx.tree->num_nodes()), nodes, slots);
-  Rng rng(6);
-  const auto num_nodes = static_cast<uint32_t>(fx.tree->num_nodes());
-  uint64_t slot = 0;
-  for (auto _ : state) {
-    const auto node = static_cast<uint32_t>(rng.NextUint64(num_nodes));
-    if (bitmap) {
-      benchmark::DoNotOptimize(index.Lookup(node, &slot));
-    } else {
-      auto it = std::lower_bound(nodes.begin(), nodes.end(), node);
-      benchmark::DoNotOptimize(it != nodes.end() && *it == node);
-    }
-  }
-  state.SetLabel(bitmap ? "bitmap" : "binary_search");
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_VPageIndexLookup)->Arg(1)->Arg(0);
-
 }  // namespace
 }  // namespace hdov
 
@@ -444,16 +361,6 @@ int main(int argc, char** argv) {
       out_flag = std::string("--benchmark_out=") +
                  (*it + sizeof(kJsonOut) - 1);
       format_flag = "--benchmark_out_format=json";
-      args.erase(it);
-      break;
-    }
-  }
-  // Accepted for CI-invocation symmetry with the figure benches; this
-  // binary always runs both backends side by side (BM_HdovSearch vs
-  // BM_HdovSearchFlat), so the flag has nothing to select.
-  constexpr const char kSearchBackend[] = "--search-backend=";
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (std::strncmp(*it, kSearchBackend, sizeof(kSearchBackend) - 1) == 0) {
       args.erase(it);
       break;
     }

@@ -27,12 +27,6 @@
 //   --db=<path>             load the testbed and every VISUAL system from
 //                           a tools/hdov_build snapshot instead of
 //                           rebuilding (see docs/storage.md);
-//   --search-backend=NAME   run every VISUAL query through the named
-//                           Fig. 3 implementation: "legacy" (recursive
-//                           searcher, default) or "flat" (packed SoA tree
-//                           + bitmap V-page index, see docs/flat_tree.md).
-//                           Simulated results are bit-identical either
-//                           way; only wall-clock differs.
 //   --prefetch=MODE         prefetch pipeline of every VISUAL system:
 //                           "off" (default; billing identical to a build
 //                           without the subsystem), "sync" (the legacy
@@ -118,7 +112,6 @@ struct BenchArgs {
   uint32_t threads = 1;       // Precompute/build workers (0 = hardware).
   uint32_t metrics_every = 0; // 0 = periodic exposition export off.
   uint32_t trace_sample = 1;  // Span tree for 1-in-N queries.
-  SearchBackend backend = SearchBackend::kLegacy;  // --search-backend.
   prefetch::PrefetchMode prefetch = prefetch::PrefetchMode::kOff;
 };
 
@@ -137,7 +130,6 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   constexpr const char kMetricsOut[] = "--metrics-out=";
   constexpr const char kDb[] = "--db=";
   constexpr const char kThreads[] = "--threads=";
-  constexpr const char kSearchBackend[] = "--search-backend=";
   constexpr const char kPrefetch[] = "--prefetch=";
   const auto path_flag = [](const char* arg, const char* flag, size_t len,
                             std::string* out) {
@@ -201,19 +193,6 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
       args.slowdump_threshold_ms = parsed;
       continue;
     }
-    if (std::strncmp(argv[i], kSearchBackend,
-                     sizeof(kSearchBackend) - 1) == 0) {
-      const char* value = argv[i] + sizeof(kSearchBackend) - 1;
-      if (!ParseSearchBackend(value, &args.backend)) {
-        std::fprintf(stderr,
-                     "--search-backend needs \"legacy\" or \"flat\"\n");
-        std::exit(2);
-      }
-      // Seed the process-wide default so every VisualOptions constructed
-      // after parsing (testbed glue, session views) picks it up.
-      DefaultSearchBackend() = args.backend;
-      continue;
-    }
     if (std::strncmp(argv[i], kPrefetch, sizeof(kPrefetch) - 1) == 0) {
       const char* value = argv[i] + sizeof(kPrefetch) - 1;
       if (!prefetch::ParsePrefetchMode(value, &args.prefetch)) {
@@ -238,11 +217,10 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
       std::fprintf(stderr,
                    "unknown flag %s (supported: %s<path>, %s<path>,"
                    " %s<path>, %sN, %s<path>, %s<path>, %sF, %sN, %s<path>,"
-                   " %s<path>, %sN, %sNAME, %sMODE)\n",
+                   " %s<path>, %sN, %sMODE)\n",
                    argv[i], kTelemetryOut, kJsonOut, kTraceOut, kTraceSample,
                    kFlightOut, kSlowdumpOut, kSlowdumpThreshold,
-                   kMetricsEvery, kMetricsOut, kDb, kThreads, kSearchBackend,
-                   kPrefetch);
+                   kMetricsEvery, kMetricsOut, kDb, kThreads, kPrefetch);
       std::exit(2);
     }
   }

@@ -54,6 +54,7 @@ Result<std::unique_ptr<BitmapVerticalStore>> BitmapVerticalStore::Load(
   HDOV_RETURN_IF_ERROR(DecodeExtent(&decoder, &store->index_extent_));
   uint64_t cells = 0;
   HDOV_RETURN_IF_ERROR(decoder.DecodeFixed64(&cells));
+  HDOV_RETURN_IF_ERROR(decoder.CheckCount(cells, sizeof(uint64_t)));
   store->cell_base_.resize(cells);
   for (uint64_t& base : store->cell_base_) {
     HDOV_RETURN_IF_ERROR(decoder.DecodeFixed64(&base));
@@ -90,34 +91,6 @@ Status BitmapVerticalStore::BeginCell(CellId cell) {
   }
   current_cell_ = cell;
   vpages_.InvalidateCache();
-  return Status::OK();
-}
-
-bool BitmapVerticalStore::FillSegment(std::vector<uint32_t>* nodes,
-                                      std::vector<uint64_t>* slots) const {
-  if (current_cell_ == kInvalidCell) {
-    return false;
-  }
-  nodes->clear();
-  slots->clear();
-  // Ascending bit order is rank order, so each visible node's slot is the
-  // cell base plus a running rank — the same arithmetic GetVPage performs
-  // one popcount at a time.
-  uint64_t running_rank = 0;
-  for (size_t node = 0; node < num_nodes_; ++node) {
-    const auto byte = static_cast<uint8_t>(bitmap_[node / 8]);
-    if ((byte & (1u << (node % 8))) != 0) {
-      nodes->push_back(static_cast<uint32_t>(node));
-      slots->push_back(cell_base_[current_cell_] + running_rank);
-      ++running_rank;
-    }
-  }
-  return true;
-}
-
-Status BitmapVerticalStore::ReadVPageAt(uint64_t slot, VPage* page) {
-  HDOV_RETURN_IF_ERROR(vpages_.ReadRecord(slot, page));
-  ++tstats_.vpage_fetches;
   return Status::OK();
 }
 

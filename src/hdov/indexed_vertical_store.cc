@@ -64,6 +64,7 @@ Result<std::unique_ptr<IndexedVerticalStore>> IndexedVerticalStore::Load(
   HDOV_RETURN_IF_ERROR(DecodeExtent(&decoder, &store->index_extent_));
   uint64_t cells = 0;
   HDOV_RETURN_IF_ERROR(decoder.DecodeFixed64(&cells));
+  HDOV_RETURN_IF_ERROR(decoder.CheckCount(cells, 2 * sizeof(uint64_t)));
   store->segment_dir_.resize(cells);
   for (auto& [offset, length] : store->segment_dir_) {
     HDOV_RETURN_IF_ERROR(decoder.DecodeFixed64(&offset));
@@ -105,22 +106,6 @@ Status IndexedVerticalStore::BeginCell(CellId cell) {
   }
   current_cell_ = cell;
   vpages_.InvalidateCache();
-  return Status::OK();
-}
-
-bool IndexedVerticalStore::FillSegment(std::vector<uint32_t>* nodes,
-                                       std::vector<uint64_t>* slots) const {
-  if (current_cell_ == kInvalidCell) {
-    return false;
-  }
-  *nodes = seg_nodes_;
-  *slots = seg_slots_;
-  return true;
-}
-
-Status IndexedVerticalStore::ReadVPageAt(uint64_t slot, VPage* page) {
-  HDOV_RETURN_IF_ERROR(vpages_.ReadRecord(slot, page));
-  ++tstats_.vpage_fetches;
   return Status::OK();
 }
 

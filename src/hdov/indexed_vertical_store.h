@@ -29,9 +29,6 @@ class IndexedVerticalStore : public VisibilityStore {
   std::string name() const override { return "indexed-vertical"; }
   Status BeginCell(CellId cell) override;
   Status GetVPage(uint32_t node_id, VPage* page, bool* visible) override;
-  bool FillSegment(std::vector<uint32_t>* nodes,
-                   std::vector<uint64_t>* slots) const override;
-  Status ReadVPageAt(uint64_t slot, VPage* page) override;
   uint64_t SizeBytes() const override { return device_->SizeBytes(); }
   PageDevice* device() const override { return device_; }
   void EncodeMeta(std::string* dst) const override;

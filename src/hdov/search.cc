@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <numeric>
 
 #include "telemetry/trace_context.h"
@@ -51,39 +50,6 @@ void PrioritizeRetrieval(const Frustum& frustum, const HdovTree& tree,
     sorted.push_back((*result)[index]);
   }
   *result = std::move(sorted);
-}
-
-const char* SearchBackendName(SearchBackend backend) {
-  switch (backend) {
-    case SearchBackend::kLegacy:
-      return "legacy";
-    case SearchBackend::kFlat:
-      return "flat";
-  }
-  return "unknown";
-}
-
-bool ParseSearchBackend(std::string_view name, SearchBackend* backend) {
-  if (name == "legacy") {
-    *backend = SearchBackend::kLegacy;
-    return true;
-  }
-  if (name == "flat") {
-    *backend = SearchBackend::kFlat;
-    return true;
-  }
-  return false;
-}
-
-SearchBackend& DefaultSearchBackend() {
-  static SearchBackend backend = [] {
-    SearchBackend parsed = SearchBackend::kLegacy;
-    if (const char* env = std::getenv("HDOV_SEARCH_BACKEND")) {
-      ParseSearchBackend(env, &parsed);
-    }
-    return parsed;
-  }();
-  return backend;
 }
 
 HdovSearcher::HdovSearcher(const HdovTree* tree, const Scene* scene,

@@ -12,7 +12,6 @@
 #define HDOV_HDOV_SEARCH_H_
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -82,28 +81,6 @@ struct SearchStats {
   uint64_t hidden_entries_pruned = 0;
   uint64_t internal_terminations = 0;
 };
-
-// Which implementation runs the Fig. 3 traversal. Both produce
-// bit-identical results, stats and simulated I/O (pinned by
-// tests/flat_search_test.cc); kFlat runs it over the packed
-// FlatHdovTree layout (flat_tree.h / flat_search.h).
-enum class SearchBackend : uint8_t {
-  kLegacy = 0,  // Recursive HdovSearcher over HdovNode vectors.
-  kFlat = 1,    // Iterative FlatSearcher over the SoA arena + bitmap index.
-};
-
-const char* SearchBackendName(SearchBackend backend);
-
-// Parses "legacy" / "flat"; returns false (leaving *backend alone) on
-// anything else.
-bool ParseSearchBackend(std::string_view name, SearchBackend* backend);
-
-// Process-wide default backend, seeding VisualOptions::backend. Initialized
-// once from the HDOV_SEARCH_BACKEND environment variable ("legacy"/"flat",
-// unset or unparseable = kLegacy) so whole test/bench binaries can be
-// flipped without touching call sites; mutable for flag plumbing
-// (bench --search-backend=...).
-SearchBackend& DefaultSearchBackend();
 
 // Reorders a retrieval set for progressive loading (the paper's §3.2
 // third advantage and stated future work: "regions that are closer to the

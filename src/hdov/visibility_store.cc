@@ -70,6 +70,7 @@ Status VPageFile::RestoreMeta(Decoder* decoder) {
   uint64_t page_count = 0;
   HDOV_RETURN_IF_ERROR(decoder->DecodeFixed64(&records));
   HDOV_RETURN_IF_ERROR(decoder->DecodeFixed64(&page_count));
+  HDOV_RETURN_IF_ERROR(decoder->CheckCount(page_count, sizeof(PageId)));
   std::vector<PageId> pages(page_count);
   for (PageId& page : pages) {
     HDOV_RETURN_IF_ERROR(decoder->DecodeFixed64(&page));
@@ -77,8 +78,10 @@ Status VPageFile::RestoreMeta(Decoder* decoder) {
       return Status::Corruption("vpage file: page id past device end");
     }
   }
-  const uint64_t needed =
-      (records + records_per_page_ - 1) / records_per_page_;
+  // Rounded up without `records + records_per_page_ - 1`, which wraps for
+  // a crafted count near 2^64 and would pass the check below.
+  const uint64_t needed = records / records_per_page_ +
+                          (records % records_per_page_ != 0 ? 1 : 0);
   if (needed != page_count) {
     return Status::Corruption("vpage file: record/page count mismatch");
   }

@@ -203,9 +203,7 @@ class Prefetcher {
   uint16_t flight_code_;
 
   // Async-mode speculative machinery (null in sync mode): a private store
-  // instance over the shared store device plus a private legacy searcher
-  // (both backends read the same pages, so the warmed set is
-  // backend-independent).
+  // instance over the shared store device plus a private searcher.
   std::unique_ptr<VisibilityStore> spec_store_;
   std::unique_ptr<HdovSearcher> spec_searcher_;
   std::vector<RetrievedLod> spec_result_;

@@ -5,7 +5,6 @@
 #include <map>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "hdov/builder.h"
 #include "persist/world_codec.h"
 #include "server/session_device.h"
@@ -87,13 +86,6 @@ Status WalkthroughServer::LoadWorld() {
   world_.scene = &scene_;
   world_.grid = &grid_;
   world_.tree = tree_;
-  // Flat-backend sessions all share one compiled layout (it is immutable,
-  // like the tree) instead of compiling a private copy each.
-  if (options_.visual.backend == SearchBackend::kFlat) {
-    HDOV_ASSIGN_OR_RETURN(FlatHdovTree flat, FlatHdovTree::Compile(*tree_));
-    flat_tree_ = std::make_shared<const FlatHdovTree>(std::move(flat));
-    world_.flat_tree = flat_tree_;
-  }
   world_.store_meta = store_meta_;
   world_.model_meta = model_meta_;
   world_.make_device =
@@ -185,7 +177,6 @@ Result<ServerRunStats> WalkthroughServer::Play() {
       tree_pool_ != nullptr ? tree_pool_->TotalStats() : BufferPoolStats();
 
   ServerRunStats stats;
-  ThreadPool pool(ThreadPool::ResolveThreads(options_.workers));
   const auto wall0 = std::chrono::steady_clock::now();
 
   // Lockstep rounds: every live session advances exactly one frame per
@@ -230,7 +221,7 @@ Result<ServerRunStats> WalkthroughServer::Play() {
     // actually reaches the frame, so queue wait covers both pool
     // scheduling delay and time spent behind earlier group members.
     const uint64_t enqueue_ns = telemetry::FlightNowNs();
-    pool.ParallelFor(groups.size(), [&](size_t slot, size_t g) {
+    pool_.ParallelFor(groups.size(), [&](size_t slot, size_t g) {
       (void)slot;
       for (size_t idx : groups[g]) {
         Runner& r = runners[idx];

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "persist/snapshot.h"
 #include "scene/cell_grid.h"
 #include "scene/session.h"
@@ -138,7 +139,8 @@ class WalkthroughServer {
 
  private:
   explicit WalkthroughServer(const ServerOptions& options)
-      : options_(options) {}
+      : options_(options),
+        pool_(ThreadPool::ResolveThreads(options.workers)) {}
 
   Status LoadWorld();
 
@@ -151,9 +153,6 @@ class WalkthroughServer {
   Scene scene_;
   CellGrid grid_;
   std::shared_ptr<const HdovTree> tree_;
-  // Compiled once per server when the sessions run the flat backend;
-  // shared by every session view (immutable, like the tree).
-  std::shared_ptr<const FlatHdovTree> flat_tree_;
   std::string store_meta_;
   std::string model_meta_;
 
@@ -171,6 +170,11 @@ class WalkthroughServer {
 
   SharedWorldView world_;
   std::vector<Session> sessions_;
+  // Render workers, built once with the server and reused by every Play:
+  // a pool per Play would start new threads each time, and every new
+  // thread that records flight events gets a ring of its own that lives
+  // until the process exits.
+  ThreadPool pool_;
 };
 
 // Nearest-rank percentile (q in [0,1]) of `values`, in the same unit the

@@ -40,12 +40,15 @@ Status ModelStore::RestoreMeta(std::string_view meta) {
   Decoder decoder(meta);
   uint64_t count = 0;
   HDOV_RETURN_IF_ERROR(decoder.DecodeFixed64(&count));
+  HDOV_RETURN_IF_ERROR(decoder.CheckCount(count, 3 * sizeof(uint64_t)));
   std::vector<ModelExtent> extents(count);
   for (ModelExtent& extent : extents) {
     HDOV_RETURN_IF_ERROR(decoder.DecodeFixed64(&extent.first_page));
     HDOV_RETURN_IF_ERROR(decoder.DecodeFixed64(&extent.page_count));
     HDOV_RETURN_IF_ERROR(decoder.DecodeFixed64(&extent.bytes));
-    if (extent.first_page + extent.page_count > device_->page_count()) {
+    // Written so that no crafted value can wrap the sum.
+    if (extent.page_count > device_->page_count() ||
+        extent.first_page > device_->page_count() - extent.page_count) {
       return Status::Corruption("model store: extent past device end");
     }
   }

@@ -12,7 +12,6 @@
 
 #include "common/result.h"
 #include "hdov/builder.h"
-#include "hdov/flat_search.h"
 #include "hdov/search.h"
 #include "persist/snapshot.h"
 #include "prefetch/fetch_queue.h"
@@ -67,13 +66,6 @@ struct VisualOptions {
   // Create (0 = one per hardware thread). Affects build wall-clock only;
   // the built store is identical for every value.
   uint32_t build_threads = 1;
-
-  // Which search implementation answers queries (see SearchBackend): the
-  // recursive legacy searcher or the packed flat layout. Results, stats
-  // and simulated billing are bit-identical either way; only wall-clock
-  // differs. Seeded from DefaultSearchBackend() so a whole binary flips
-  // via HDOV_SEARCH_BACKEND / --search-backend.
-  SearchBackend backend = DefaultSearchBackend();
 };
 
 // Which of a session's three private billing devices a SharedWorldView
@@ -92,10 +84,6 @@ struct SharedWorldView {
   const Scene* scene = nullptr;
   const CellGrid* grid = nullptr;
   std::shared_ptr<const HdovTree> tree;
-  // Optional pre-compiled flat layout of `tree` (used when sessions run
-  // with SearchBackend::kFlat). Null makes each flat-backend session
-  // compile its own copy; servers compile once and share it here.
-  std::shared_ptr<const FlatHdovTree> flat_tree;
   // VisibilityStore::EncodeMeta blob of the scheme sessions will use
   // (must match VisualOptions::scheme at CreateSessionView time).
   std::string store_meta;
@@ -167,12 +155,6 @@ class VisualSystem : public WalkthroughSystem {
   // The shared-ownership handle to the (immutable) tree, for building a
   // SharedWorldView from a system that already loaded the world.
   std::shared_ptr<const HdovTree> shared_tree() const { return tree_; }
-  // The flat layout this system searches with (null on the legacy
-  // backend); shareable the same way as shared_tree().
-  std::shared_ptr<const FlatHdovTree> shared_flat_tree() const {
-    return flat_tree_;
-  }
-  SearchBackend backend() const { return options_.backend; }
   VisibilityStore* store() const { return store_.get(); }
   const ModelStore& models() const { return *models_; }
   SimClock& clock() { return clock_; }
@@ -200,13 +182,7 @@ class VisualSystem : public WalkthroughSystem {
                const VisualOptions& options);
 
   // Searcher + cache wiring and counter reset shared by all factories.
-  // Compiles the flat layout when the options ask for the flat backend
-  // and no pre-compiled one was handed in.
   Status FinishConstruction();
-
-  // Dispatches one Fig. 3 search to the configured backend.
-  Status RunSearch(CellId cell, const SearchOptions& search,
-                   std::vector<RetrievedLod>* result, SearchStats* stats);
 
   void RegisterTelemetry() override;
   // Folds one query's stats into the registry counters (telemetry only).
@@ -226,10 +202,8 @@ class VisualSystem : public WalkthroughSystem {
   // Immutable after the factory that built/loaded it returns; shared
   // across session views, so nothing below this line may mutate it.
   std::shared_ptr<const HdovTree> tree_;
-  std::shared_ptr<const FlatHdovTree> flat_tree_;  // Flat backend only.
   std::unique_ptr<VisibilityStore> store_;
   std::unique_ptr<HdovSearcher> searcher_;
-  std::unique_ptr<FlatSearcher> flat_searcher_;  // Flat backend only.
   std::unique_ptr<BufferPool> tree_cache_;  // Only with tree_cache_pages.
 
   // Registry-owned metric handles; valid only while attached (the base

@@ -10,7 +10,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/status.h"
 #include "telemetry/metrics.h"
+#include "temp_path.h"
 
 namespace hdov {
 namespace {
@@ -132,7 +134,7 @@ TEST(ExpositionTest, SnapshotDeltaHistogramUsesCountAndSum) {
 }
 
 TEST(ExpositionTest, LogWritesSamplesAndRateComments) {
-  const std::string path = ::testing::TempDir() + "exposition_log.prom";
+  const std::string path = TempPath("exposition_log.prom");
   MetricsRegistry registry;
   Counter* reads = registry.GetCounter("io.page_reads");
 
@@ -214,28 +216,35 @@ TEST(ExpositionTest, SnapshotDeltaUnderConcurrentMutation) {
 TEST(ExpositionTest, LogSamplesUnderConcurrentMutation) {
   // The periodic exporter writes while the workload mutates: every block
   // it appends must parse as a self-consistent scrape.
-  const std::string path =
-      ::testing::TempDir() + "exposition_concurrent.prom";
+  const std::string path = TempPath("exposition_concurrent.prom");
   MetricsRegistry registry;
+  // The registry is owner-thread only: register every metric before the
+  // writers start, and let them update through the handles.
   Counter* reads = registry.GetCounter("mut.log_reads");
+  Gauge* gauge = registry.GetGauge("mut.log_gauge");
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < 2; ++t) {
     writers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
         reads->Add(1);
-        registry.GetGauge("mut.log_gauge")->Set(1.5);
+        gauge->Set(1.5);
       }
     });
   }
   ExpositionLog log(path);
+  std::vector<Status> statuses;
   for (int round = 0; round < 20; ++round) {
-    ASSERT_TRUE(
-        log.Sample(registry.Snapshot(), "r" + std::to_string(round)).ok());
+    statuses.push_back(
+        log.Sample(registry.Snapshot(), "r" + std::to_string(round)));
   }
+  // Join before any assertion can return while the writers still run.
   stop.store(true);
   for (std::thread& t : writers) {
     t.join();
+  }
+  for (const Status& status : statuses) {
+    ASSERT_TRUE(status.ok()) << status.ToString();
   }
   EXPECT_EQ(log.samples_written(), 20u);
   std::ifstream in(path);

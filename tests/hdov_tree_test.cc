@@ -79,6 +79,13 @@ std::string WithCount(std::string bytes, size_t at, uint32_t count) {
   return bytes.replace(at, field.size(), field);
 }
 
+// `bytes` with the u64 at `at` replaced by `count`.
+std::string WithCount64(std::string bytes, size_t at, uint64_t count) {
+  std::string field;
+  EncodeFixed64(&field, count);
+  return bytes.replace(at, field.size(), field);
+}
+
 TEST(VPageTest, SerializeRoundTrip) {
   VPage page = {{0.25f, 3}, {0.0f, 0}, {0.125f, 1}};
   std::string record = SerializeVPage(page, 8);
@@ -344,6 +351,61 @@ TEST_P(StoreSchemes, RequiresBeginCell) {
   EXPECT_FALSE((*store)->BeginCell(table_->num_cells() + 5).ok());
 }
 
+TEST_P(StoreSchemes, InflatedMetaCountsAreCorruptionWithoutAllocating) {
+  PageDevice device;
+  Result<std::unique_ptr<VisibilityStore>> store =
+      BuildStore(GetParam(), *tree_, *table_, &device);
+  ASSERT_TRUE(store.ok());
+  std::string meta;
+  (*store)->EncodeMeta(&meta);
+  ASSERT_TRUE(LoadStore(GetParam(), *tree_, meta, &device).ok());
+
+  // Every scheme's metadata ends with the V-page file's layout (u64
+  // records | u64 page count | page ids). Before it: horizontal has a u32
+  // cell count; the others a 24-byte index extent, then vertical a u64
+  // segment size and a u32 cell count, indexed-vertical a u64 cell count
+  // and 16 bytes per cell, bitmap-vertical a u64 cell count and 8 bytes
+  // per cell.
+  constexpr size_t kExtentBytes = 24;
+  const size_t cells = table_->num_cells();
+  std::vector<size_t> counts;
+  size_t vpage_file_at = 0;
+  switch (GetParam()) {
+    case StorageScheme::kHorizontal:
+      vpage_file_at = 4;
+      break;
+    case StorageScheme::kVertical:
+      vpage_file_at = kExtentBytes + 8 + 4;
+      break;
+    case StorageScheme::kIndexedVertical:
+      counts.push_back(kExtentBytes);
+      vpage_file_at = kExtentBytes + 8 + 16 * cells;
+      break;
+    case StorageScheme::kBitmapVertical:
+      counts.push_back(kExtentBytes);
+      vpage_file_at = kExtentBytes + 8 + 8 * cells;
+      break;
+  }
+  counts.push_back(vpage_file_at + 8);
+  for (size_t at : counts) {
+    for (uint64_t count : {uint64_t{1} << 20, uint64_t{0xffffffff}}) {
+      largest_new = 0;
+      const Status status =
+          LoadStore(GetParam(), *tree_, WithCount64(meta, at, count), &device)
+              .status();
+      const size_t largest = largest_new;
+      EXPECT_TRUE(status.IsCorruption()) << at << " " << status.ToString();
+      EXPECT_LT(largest, kAllocBound) << at << " " << count;
+    }
+  }
+  // A record count near 2^64 with no pages must not round up to zero
+  // pages and pass.
+  const std::string wrapped = WithCount64(
+      WithCount64(meta, vpage_file_at, ~uint64_t{0}), vpage_file_at + 8, 0);
+  EXPECT_TRUE(
+      LoadStore(GetParam(), *tree_, wrapped, &device).status().IsCorruption());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSchemes, StoreSchemes,
                          ::testing::Values(StorageScheme::kHorizontal,
                                            StorageScheme::kVertical,
@@ -565,6 +627,40 @@ TEST_F(HdovFixture, NodePageBillingChargesTreeDevice) {
   // per visited node and at least one page overall.
   EXPECT_GT(tree_device.stats().page_reads, 0u);
   EXPECT_LE(tree_device.stats().page_reads, stats.nodes_visited);
+
+  // The tree-cache arm: with an LRU pool in front of a second packed copy,
+  // every cell's query returns the same result and stats. The pool sees
+  // exactly the page switches the uncached searcher bills, and the device
+  // behind it reads only the misses.
+  PageDevice cached_device;
+  HdovTree cached_copy = *tree_;
+  ASSERT_TRUE(cached_copy.Pack(&cached_device).ok());
+  BufferPool pool(&cached_device, 4);
+  HdovSearcher cached(&cached_copy, scene_, models_, &cached_device);
+  cached.set_tree_cache(&pool);
+  tree_device.ResetStats();
+  cached_device.ResetStats();
+  for (CellId c = 0; c < table_->num_cells(); ++c) {
+    std::vector<RetrievedLod> cached_result;
+    SearchStats cached_stats;
+    ASSERT_TRUE(searcher.Search(store->get(), c, opt, &result, &stats).ok());
+    ASSERT_TRUE(cached
+                    .Search(store->get(), c, opt, &cached_result,
+                            &cached_stats)
+                    .ok());
+    ASSERT_EQ(result.size(), cached_result.size()) << "cell " << c;
+    for (size_t i = 0; i < result.size(); ++i) {
+      EXPECT_EQ(result[i].owner, cached_result[i].owner);
+      EXPECT_EQ(result[i].lod_level, cached_result[i].lod_level);
+      EXPECT_EQ(result[i].model, cached_result[i].model);
+    }
+    EXPECT_EQ(stats.nodes_visited, cached_stats.nodes_visited);
+    EXPECT_EQ(stats.vpages_fetched, cached_stats.vpages_fetched);
+  }
+  EXPECT_GT(pool.stats().hits, 0u);
+  EXPECT_EQ(pool.stats().hits + pool.stats().misses,
+            tree_device.stats().page_reads);
+  EXPECT_EQ(cached_device.stats().page_reads, pool.stats().misses);
 }
 
 TEST_F(HdovFixture, CostModelHeuristicCoversAndSavesTriangles) {

@@ -157,49 +157,29 @@ TEST_F(ServerTest, ConcurrentSessionsBillExactlyLikeSoloPlayback) {
   }
 }
 
-TEST_F(ServerTest, FlatBackendServesBitIdenticalToSoloAndLegacy) {
-  // Sessions served on the flat backend bill exactly like solo flat
-  // playback — and solo flat playback bills exactly like solo legacy
-  // playback, closing the loop: server(flat) == solo(flat) == solo(legacy).
-  const std::vector<Session> sessions = MakeSessions(3, 30);
+TEST_F(ServerTest, RepeatedPlayStartsNoNewThreads) {
+  // Every thread that records a flight event keeps a ring of its own for
+  // the life of the process, so a server that started fresh workers per
+  // Play would grow the recorder (and memory) with every run. One pool,
+  // built at Open, serves them all.
   ServerOptions opt = BaseOptions();
-  opt.visual.backend = SearchBackend::kFlat;
-
+  opt.workers = 2;
+  opt.batch_same_cell = false;  // One task per session: workers get frames.
   auto server = WalkthroughServer::Open(opt);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
-  // The server compiles the flat layout once and shares it with every
-  // session view.
-  EXPECT_NE((*server)->world().flat_tree, nullptr);
-  for (const Session& s : sessions) {
-    ASSERT_TRUE((*server)->AddSession(s).ok());
+  const std::vector<Session> sessions = MakeSessions(8, 20);
+  const auto play = [&] {
+    for (const Session& s : sessions) {
+      ASSERT_TRUE((*server)->AddSession(s).ok());
+    }
+    ASSERT_TRUE((*server)->Play().ok());
+  };
+  play();
+  const size_t threads = telemetry::GlobalFlightRecorder().num_threads();
+  for (int run = 0; run < 3; ++run) {
+    play();
   }
-  auto stats = (*server)->Play();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  ASSERT_EQ(stats->sessions.size(), sessions.size());
-
-  VisualOptions legacy_opt = BaseOptions().visual;
-  legacy_opt.backend = SearchBackend::kLegacy;
-  for (size_t i = 0; i < sessions.size(); ++i) {
-    SCOPED_TRACE(sessions[i].name);
-    SessionSummary flat_summary, legacy_summary;
-    IoStats flat_io, legacy_io;
-    double flat_ms = 0.0, legacy_ms = 0.0;
-    PlaySolo(sessions[i], opt.visual, &flat_summary, &flat_io, &flat_ms);
-    PlaySolo(sessions[i], legacy_opt, &legacy_summary, &legacy_io,
-             &legacy_ms);
-
-    const ServerSessionRecord& served = stats->sessions[i];
-    ExpectSummariesIdentical(served.summary, flat_summary);
-    ExpectSummariesIdentical(served.summary, legacy_summary);
-    EXPECT_EQ(served.io.page_reads, flat_io.page_reads);
-    EXPECT_EQ(served.io.seeks, flat_io.seeks);
-    EXPECT_EQ(served.io.bytes_read, flat_io.bytes_read);
-    EXPECT_EQ(served.io.page_reads, legacy_io.page_reads);
-    EXPECT_EQ(served.io.seeks, legacy_io.seeks);
-    EXPECT_EQ(served.io.bytes_read, legacy_io.bytes_read);
-    EXPECT_DOUBLE_EQ(served.sim_clock_ms, flat_ms);
-    EXPECT_DOUBLE_EQ(served.sim_clock_ms, legacy_ms);
-  }
+  EXPECT_EQ(telemetry::GlobalFlightRecorder().num_threads(), threads);
 }
 
 TEST_F(ServerTest, AsyncPrefetchServesBitIdenticalToSolo) {

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/rng.h"
 #include "storage/buffer_pool.h"
 #include "storage/model_store.h"
@@ -375,6 +376,38 @@ TEST(ModelStoreTest, RegisterAndFetchBilling) {
   EXPECT_EQ(device.stats().page_reads, 3u);
   EXPECT_EQ(device.stats().seeks, 1u);
   EXPECT_TRUE(store.Fetch(999).code() == StatusCode::kOutOfRange);
+}
+
+TEST(ModelStoreTest, RestoreMetaRejectsInflatedCountsAndWrappedExtents) {
+  PageDevice device;
+  ModelStore store(&device);
+  store.Register(100);
+  store.Register(10000);
+  std::string meta;
+  store.EncodeMeta(&meta);
+  ModelStore restored(&device);
+  ASSERT_TRUE(restored.RestoreMeta(meta).ok());
+  EXPECT_EQ(restored.total_bytes(), 10100u);
+
+  // u64 count | per extent: u64 first_page, u64 page_count, u64 bytes |
+  // u64 total.
+  const auto with_u64 = [&meta](size_t at, uint64_t value) {
+    std::string field;
+    EncodeFixed64(&field, value);
+    return std::string(meta).replace(at, field.size(), field);
+  };
+  // A count the remaining 56 bytes cannot hold is Corruption before any
+  // container is sized from it.
+  for (uint64_t count : {uint64_t{3}, uint64_t{1} << 40, ~uint64_t{0}}) {
+    ModelStore target(&device);
+    EXPECT_TRUE(target.RestoreMeta(with_u64(0, count)).IsCorruption())
+        << count;
+  }
+  // An extent whose first_page + page_count wraps past 2^64 lies past the
+  // device end all the same.
+  ModelStore target(&device);
+  const std::string wrapped = with_u64(8, ~uint64_t{0});
+  EXPECT_TRUE(target.RestoreMeta(wrapped).IsCorruption());
 }
 
 TEST(PageDeviceTest, UnmaterializedExtentLastPageReadsAsZeros) {

@@ -45,9 +45,11 @@ class WalkthroughFixture : public ::testing::Test {
     delete scene_;
   }
 
-  static std::unique_ptr<VisualSystem> MakeVisual(double eta) {
+  static std::unique_ptr<VisualSystem> MakeVisual(
+      double eta, StorageScheme scheme = StorageScheme::kIndexedVertical) {
     VisualOptions opt;
     opt.eta = eta;
+    opt.scheme = scheme;
     opt.build.rtree.max_entries = 8;
     opt.build.rtree.min_entries = 3;
     Result<std::unique_ptr<VisualSystem>> system =
@@ -582,32 +584,41 @@ TEST_F(WalkthroughFixture, TelemetryTreeCacheReportsHitRate) {
 }
 
 TEST_F(WalkthroughFixture, TelemetryQueryTraceHasSearchSpans) {
-  telemetry::Telemetry tel;
-  tel.tracer().set_enabled(true);
-  auto visual = MakeVisual(0.001);
-  visual->AttachTelemetry(&tel, "visual");
+  // The horizontal scheme keeps no per-cell segment in memory; its span
+  // tree must be just as complete and closed as the indexed-vertical one.
+  for (StorageScheme scheme :
+       {StorageScheme::kIndexedVertical, StorageScheme::kHorizontal}) {
+    SCOPED_TRACE(StorageSchemeName(scheme));
+    telemetry::Telemetry tel;
+    tel.tracer().set_enabled(true);
+    auto visual = MakeVisual(0.001, scheme);
+    visual->AttachTelemetry(&tel, "visual");
 
-  std::vector<RetrievedLod> result;
-  SearchStats stats;
-  ASSERT_TRUE(visual
-                  ->Query(CenterViewpoint().position,
-                          /*fetch_models=*/false, &result, &stats)
-                  .ok());
-  const telemetry::TraceRecorder& rec = tel.tracer();
-  ASSERT_EQ(rec.CountNamed("search"), 1u);
-  EXPECT_EQ(rec.CountNamed("node"), stats.nodes_visited);
-  EXPECT_EQ(rec.CountNamed("prune"), stats.hidden_entries_pruned);
-  EXPECT_EQ(rec.CountNamed("terminate"), stats.internal_terminations);
-  EXPECT_EQ(rec.open_depth(), 0u);
-  // Standalone queries emit kind="query" records.
-  ASSERT_EQ(tel.frames().size(), 1u);
-  EXPECT_EQ(tel.frames()[0].kind, "query");
-  EXPECT_EQ(tel.frames()[0].nodes_visited, stats.nodes_visited);
-  // The snapshot (with trace) is valid JSON.
-  Result<telemetry::JsonValue> parsed =
-      telemetry::ParseJson(tel.SnapshotJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_NE(parsed->Find("trace"), nullptr);
+    std::vector<RetrievedLod> result;
+    SearchStats stats;
+    ASSERT_TRUE(visual
+                    ->Query(CenterViewpoint().position,
+                            /*fetch_models=*/false, &result, &stats)
+                    .ok());
+    const telemetry::TraceRecorder& rec = tel.tracer();
+    ASSERT_EQ(rec.CountNamed("search"), 1u);
+    EXPECT_EQ(rec.CountNamed("node"), stats.nodes_visited);
+    EXPECT_EQ(rec.CountNamed("prune"), stats.hidden_entries_pruned);
+    EXPECT_EQ(rec.CountNamed("terminate"), stats.internal_terminations);
+    EXPECT_EQ(rec.open_depth(), 0u);
+    for (size_t i = 0; i < rec.num_spans(); ++i) {
+      EXPECT_TRUE(rec.span(i).closed) << rec.span(i).name;
+    }
+    // Standalone queries emit kind="query" records.
+    ASSERT_EQ(tel.frames().size(), 1u);
+    EXPECT_EQ(tel.frames()[0].kind, "query");
+    EXPECT_EQ(tel.frames()[0].nodes_visited, stats.nodes_visited);
+    // The snapshot (with trace) is valid JSON.
+    Result<telemetry::JsonValue> parsed =
+        telemetry::ParseJson(tel.SnapshotJson());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_NE(parsed->Find("trace"), nullptr);
+  }
 }
 
 TEST_F(WalkthroughFixture, TraceSamplingGatesSpanTrees) {
