@@ -233,6 +233,11 @@ Result<std::unique_ptr<SnapshotLoader>> SnapshotLoader::Open(
   }
   loader->page_size_ = page_size;
 
+  HDOV_ASSIGN_OR_RETURN(const uint64_t file_size, loader->file_->Size());
+  if (catalog_offset > file_size ||
+      catalog_length > file_size - catalog_offset) {
+    return Status::Corruption("snapshot: catalog past the end of " + path);
+  }
   std::string catalog(catalog_length, '\0');
   HDOV_RETURN_IF_ERROR(
       loader->file_->PreadExact(catalog_offset, catalog.data(),

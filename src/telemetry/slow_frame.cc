@@ -251,6 +251,8 @@ Result<SlowDump> DecodeSlowDump(std::string_view data) {
     dump.names.emplace_back(body.substr(dec.position(), len));
     HDOV_RETURN_IF_ERROR(dec.Skip(len));
   }
+  // A capture is at least 64 bytes (its fixed fields and event count).
+  HDOV_RETURN_IF_ERROR(dec.CheckCount(capture_count, 64));
   dump.captures.reserve(capture_count);
   for (uint32_t i = 0; i < capture_count; ++i) {
     SlowFrameEntry cap;

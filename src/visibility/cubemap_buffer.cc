@@ -10,16 +10,30 @@ namespace {
 
 constexpr double kNearEpsilon = 1e-6;
 
-// Sutherland–Hodgman clip of a camera-space polygon against the half-space
-// n·v >= offset. `in`/`out` must differ.
-int ClipAgainstPlane(const Vec3* in, int n_in, const Vec3& n, double offset,
-                     Vec3* out) {
+// Sutherland–Hodgman clip of the camera-space polygon `in` (`*n`
+// vertices) against the half-space normal·v >= offset. When no vertex lies
+// outside, the loop would emit `in` unchanged, so `in` itself is returned;
+// otherwise the clipped polygon is written to `out` (which must differ from
+// `in`), `*n` is updated and `out` is returned.
+const Vec3* ClipAgainstPlane(const Vec3* in, int* n, const Vec3& normal,
+                             double offset, Vec3* out) {
+  const int n_in = *n;
+  double d[16];
+  bool all_inside = true;
+  for (int i = 0; i < n_in; ++i) {
+    d[i] = normal.Dot(in[i]) - offset;
+    all_inside = all_inside && d[i] >= 0.0;
+  }
+  if (all_inside) {
+    return in;
+  }
   int n_out = 0;
   for (int i = 0; i < n_in; ++i) {
+    const int next = i + 1 < n_in ? i + 1 : 0;
     const Vec3& a = in[i];
-    const Vec3& b = in[(i + 1) % n_in];
-    const double da = n.Dot(a) - offset;
-    const double db = n.Dot(b) - offset;
+    const Vec3& b = in[next];
+    const double da = d[i];
+    const double db = d[next];
     if (da >= 0.0) {
       out[n_out++] = a;
     }
@@ -28,7 +42,8 @@ int ClipAgainstPlane(const Vec3* in, int n_in, const Vec3& n, double offset,
       out[n_out++] = a + (b - a) * t;
     }
   }
-  return n_out;
+  *n = n_out;
+  return out;
 }
 
 struct Interval {
@@ -102,6 +117,12 @@ CubeMapBuffer::CubeMapBuffer(const CubeMapOptions& options)
           CornerSolidAngle(x1, y0) + CornerSolidAngle(x0, y0);
     }
   }
+
+  pixel_centre_.resize(res_);
+  for (int i = 0; i < res_; ++i) {
+    pixel_centre_[i] = 2.0 * (i + 0.5) / res_ - 1.0;
+  }
+  column_terms_.resize(static_cast<size_t>(3) * res_);
 }
 
 double CubeMapBuffer::CornerSolidAngle(double x, double y) {
@@ -132,24 +153,21 @@ void CubeMapBuffer::RasterizeTriangle(const Vec3& a, const Vec3& b,
         f.forward.Dot(cam[2]) <= 0.0) {
       continue;
     }
-    buf_a[0] = cam[0];
-    buf_a[1] = cam[1];
-    buf_a[2] = cam[2];
+    const Vec3* poly = cam;
     int n = 3;
+    auto clip = [&](const Vec3& normal, double offset) {
+      poly = ClipAgainstPlane(poly, &n, normal, offset,
+                              poly == buf_a ? buf_b : buf_a);
+      return n >= 3;
+    };
     // Near plane, then the four side planes (with a hair of slack so
     // neighbouring faces overlap rather than leave seams).
-    n = ClipAgainstPlane(buf_a, n, f.forward, kNearEpsilon, buf_b);
-    if (n < 3) continue;
     const Vec3 fs = f.forward * (1.0 + 1e-9);
-    n = ClipAgainstPlane(buf_b, n, fs - f.right, 0.0, buf_a);
-    if (n < 3) continue;
-    n = ClipAgainstPlane(buf_a, n, fs + f.right, 0.0, buf_b);
-    if (n < 3) continue;
-    n = ClipAgainstPlane(buf_b, n, fs - f.up, 0.0, buf_a);
-    if (n < 3) continue;
-    n = ClipAgainstPlane(buf_a, n, fs + f.up, 0.0, buf_b);
-    if (n < 3) continue;
-    RasterizeOnFace(face, buf_b, n, item);
+    if (clip(f.forward, kNearEpsilon) && clip(fs - f.right, 0.0) &&
+        clip(fs + f.right, 0.0) && clip(fs - f.up, 0.0) &&
+        clip(fs + f.up, 0.0)) {
+      RasterizeOnFace(face, poly, n, item);
+    }
   }
 }
 
@@ -202,25 +220,39 @@ void CubeMapBuffer::RasterizeOnFace(int face, const Vec3* poly, int n,
       continue;
     }
     const double inv_area = 1.0 / area;
+    // Every inverse depth this triangle can write is below zmax (see the
+    // raster kernel notes in the header).
+    const float zmax = static_cast<float>(std::max({ws[0], ws[1], ws[2]}) *
+                                          (1.0 + 1e-5));
 
+    double* dx = column_terms_.data();
+    for (int i = i0; i <= i1; ++i) {
+      const double px = pixel_centre_[i];
+      dx[3 * i] = ux[0] - px;
+      dx[3 * i + 1] = ux[1] - px;
+      dx[3 * i + 2] = ux[2] - px;
+    }
     for (int j = j0; j <= j1; ++j) {
-      const double py = 2.0 * (j + 0.5) / res_ - 1.0;
+      const double py = pixel_centre_[j];
+      const double dy0 = vy[0] - py;
+      const double dy1 = vy[1] - py;
+      const double dy2 = vy[2] - py;
+      const size_t row = static_cast<size_t>(j) * res_;
       for (int i = i0; i <= i1; ++i) {
-        const double px = 2.0 * (i + 0.5) / res_ - 1.0;
+        const size_t pixel = row + i;
+        if (face_depth[pixel] > zmax) {
+          continue;
+        }
+        const double* d = dx + 3 * i;
         // Barycentric coordinates (signed, normalized by the full area so
         // both windings are accepted when all have the same sign).
-        const double w0 = ((ux[1] - px) * (vy[2] - py) -
-                           (ux[2] - px) * (vy[1] - py)) *
-                          inv_area;
-        const double w1 = ((ux[2] - px) * (vy[0] - py) -
-                           (ux[0] - px) * (vy[2] - py)) *
-                          inv_area;
+        const double w0 = (d[1] * dy2 - d[2] * dy1) * inv_area;
+        const double w1 = (d[2] * dy0 - d[0] * dy2) * inv_area;
         const double w2 = 1.0 - w0 - w1;
         if (w0 < 0.0 || w1 < 0.0 || w2 < 0.0) {
           continue;
         }
         const double inv_depth = w0 * ws[0] + w1 * ws[1] + w2 * ws[2];
-        const size_t pixel = static_cast<size_t>(j) * res_ + i;
         UpdatePixel(inv_depth, item, &face_depth[pixel], &face_lo[pixel],
                     &face_above[pixel]);
       }
@@ -237,17 +269,29 @@ void CubeMapBuffer::RasterizeBox(const Aabb& box, uint32_t item,
   for (int i = 0; i < 8; ++i) {
     c[i] = box.Corner(i);
   }
+  // One quad per box side, the min side of each axis before its max side.
   static constexpr int kQuads[6][4] = {
-      {0, 2, 3, 1},  // bottom
-      {4, 5, 7, 6},  // top
-      {0, 1, 5, 4},  // front
-      {2, 6, 7, 3},  // back
-      {0, 4, 6, 2},  // left
-      {1, 3, 7, 5},  // right
+      {0, 2, 3, 1},  // bottom (z min)
+      {4, 5, 7, 6},  // top (z max)
+      {0, 1, 5, 4},  // front (y min)
+      {2, 6, 7, 3},  // back (y max)
+      {0, 4, 6, 2},  // left (x min)
+      {1, 3, 7, 5},  // right (x max)
   };
-  for (const int* v : kQuads) {
-    RasterizeTriangle(c[v[0]], c[v[1]], c[v[2]], item, faces);
-    RasterizeTriangle(c[v[0]], c[v[2]], c[v[3]], item, faces);
+  // The sides facing the viewpoint go first, so the early depth reject
+  // skips the hidden pixels of the sides behind them.
+  const Vec3& p = viewpoint_;
+  const bool facing[6] = {p.z < box.min.z, p.z > box.max.z,
+                          p.y < box.min.y, p.y > box.max.y,
+                          p.x < box.min.x, p.x > box.max.x};
+  for (const bool front : {true, false}) {
+    for (int q = 0; q < 6; ++q) {
+      if (facing[q] == front) {
+        const int* v = kQuads[q];
+        RasterizeTriangle(c[v[0]], c[v[1]], c[v[2]], item, faces);
+        RasterizeTriangle(c[v[0]], c[v[2]], c[v[3]], item, faces);
+      }
+    }
   }
 }
 

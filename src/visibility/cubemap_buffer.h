@@ -17,6 +17,20 @@
 //
 // WritableFaces is the occlusion test DovComputer culls with (see dov.h for
 // why culling with it leaves every pixel exactly as the full draw would).
+//
+// Raster kernel. Each sub-triangle is tested against the pixel centres in
+// its bounding box with edge functions; five shortcuts keep every pixel's
+// depth, `lo` and `above` bit-identical to the plain loop:
+//  1. Pixel centres come from a table filled with the loop's own expression,
+//     2 (i + 0.5) / res - 1: the same doubles.
+//  2. u - px is computed once per column and v - py once per row: the same
+//     operands, operations and order (ISO C++ mode, so no FMA contraction).
+//  3. A pixel whose stored depth F exceeds zmax = float(max(ws)(1 + 1e-5)) is
+//     skipped: inside, c <= max(ws)(1 + 4u), so float(c) < F (a no-op).
+//  4. A clip plane with no vertex outside returns its input polygon, which
+//     is exactly what the Sutherland–Hodgman loop would emit.
+//  5. RasterizeBox draws the sides facing the viewpoint first, so (3) skips
+//     the hidden back sides; the z-test does not depend on draw order.
 
 #ifndef HDOV_VISIBILITY_CUBEMAP_BUFFER_H_
 #define HDOV_VISIBILITY_CUBEMAP_BUFFER_H_
@@ -115,6 +129,16 @@ class CubeMapBuffer {
   // Fraction of the sphere covered by any item.
   double TotalCoverage() const;
 
+  // Stored inverse depth (0 when empty) and owner (kNoItem when empty) of
+  // pixel (i, j) of `face`; for tests.
+  float PixelInverseDepth(int face, int i, int j) const {
+    return inv_depth_[PixelIndex(face, i, j)];
+  }
+  uint32_t PixelItem(int face, int i, int j) const {
+    const size_t p = PixelIndex(face, i, j);
+    return PixelOwner(lo_[p], above_[p]);
+  }
+
  private:
   struct Face {
     Vec3 forward, right, up;
@@ -126,6 +150,10 @@ class CubeMapBuffer {
 
   void RasterizeOnFace(int face, const Vec3* poly, int n, uint32_t item);
 
+  size_t PixelIndex(int face, int i, int j) const {
+    return (static_cast<size_t>(face) * res_ + j) * res_ + i;
+  }
+
   CubeMapOptions options_;
   int res_;
   Vec3 viewpoint_;
@@ -134,6 +162,8 @@ class CubeMapBuffer {
   std::vector<uint32_t> lo_;
   std::vector<uint32_t> above_;
   std::vector<double> pixel_solid_angle_;  // res * res (same per face).
+  std::vector<double> pixel_centre_;       // res: 2 (i + 0.5) / res - 1.
+  std::vector<double> column_terms_;       // 3 * res raster scratch.
   std::array<Face, 6> faces_;
 };
 

@@ -250,6 +250,49 @@ TEST(SnapshotTest, CorruptedBlobDetected) {
   std::remove(path.c_str());
 }
 
+TEST(SnapshotTest, CatalogPastTheEndIsCorruption) {
+  const std::string path = TempPath("hdov_snapshot_catalog.hdov");
+  {
+    auto writer = SnapshotWriter::Create(path);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->AddBlob("alpha", "payload").ok());
+    ASSERT_TRUE((*writer)->Commit().ok());
+  }
+  // Superblock: magic, version, page size, section count, reserved (24
+  // bytes), catalog offset and length (8 each), catalog CRC, then its own
+  // CRC over the 44 bytes before it.
+  auto rewrite = [&](uint64_t offset, uint64_t length) {
+    std::string superblock(48, '\0');
+    {
+      std::ifstream in(path, std::ios::binary);
+      ASSERT_TRUE(in.read(superblock.data(), superblock.size()).good());
+    }
+    std::string fields;
+    EncodeFixed64(&fields, offset);
+    EncodeFixed64(&fields, length);
+    superblock.replace(24, 16, fields);
+    std::string crc;
+    EncodeFixed32(&crc, Crc32c(std::string_view(superblock.data(), 44)));
+    superblock.replace(44, 4, crc);
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.write(superblock.data(), superblock.size()).good());
+  };
+  const uint64_t size = fs::file_size(path);
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  for (const auto& [offset, length] :
+       std::vector<std::pair<uint64_t, uint64_t>>{
+           {4096, kMax / 2},     // Would allocate ~2^63 bytes.
+           {kMax - 3, 16},       // offset + length wraps.
+           {size - 8, 9},        // One byte past the end.
+           {size + 1, 0}}) {
+    rewrite(offset, length);
+    const Status status = SnapshotLoader::Open(path).status();
+    EXPECT_TRUE(status.IsCorruption())
+        << offset << " + " << length << ": " << status.ToString();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotTest, DeviceSectionRoundTrip) {
   const std::string path = TempPath("hdov_snapshot_device.hdov");
   PageDevice source;

@@ -243,6 +243,18 @@ TEST(SlowFrameTest, DecodeRejectsMalformedDumps) {
   EXPECT_FALSE(DecodeSlowDump(bad_version).ok());
 }
 
+TEST(SlowFrameTest, DecodeRejectsInflatedCaptureCount) {
+  // An empty dump (magic, version, no names, zero frame counters) whose
+  // trailing capture count says 0xffffffff: no input this short holds that.
+  std::string dump = EncodeSlowDump(SlowDump());
+  ASSERT_EQ(dump.size(), 36u);
+  for (size_t i = 32; i < 36; ++i) {
+    dump[i] = '\xff';
+  }
+  const Status status = DecodeSlowDump(dump).status();
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+}
+
 TEST(SlowFrameTest, ChromeTraceHasOneTrackPerSession) {
   SlowDump dump;
   dump.names = {"?", "u0.walk", "u1.turn"};

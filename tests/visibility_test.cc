@@ -998,6 +998,480 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(c.cell_stride);
     });
 
+// ------------------------------------------------- frozen raster kernel
+
+// Cube-face bases (forward, right, up), as the buffer orders them.
+struct FaceBasis {
+  Vec3 forward, right, up;
+};
+constexpr FaceBasis kFaceBases[6] = {
+    {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}},   {{-1, 0, 0}, {0, -1, 0}, {0, 0, 1}},
+    {{0, 1, 0}, {-1, 0, 0}, {0, 0, 1}},  {{0, -1, 0}, {1, 0, 0}, {0, 0, 1}},
+    {{0, 0, 1}, {1, 0, 0}, {0, 1, 0}},   {{0, 0, -1}, {1, 0, 0}, {0, -1, 0}}};
+
+// CubeMapBuffer's raster kernel as it stood before its fast path: pixel
+// centres computed per pixel, every clip loop run in full, box sides in a
+// fixed order. Frozen here as the oracle for the live kernel, which must
+// leave every pixel's inverse depth and owner bit-identical to it. Keep it
+// as it is; the z-test itself (UpdatePixel) is shared.
+class FrozenCubeMap {
+ public:
+  FrozenCubeMap(int res, const Vec3& viewpoint)
+      : res_(res),
+        viewpoint_(viewpoint),
+        inv_depth_(static_cast<size_t>(6) * res * res, 0.0f),
+        lo_(inv_depth_.size(), kNoItem),
+        above_(inv_depth_.size(), kNoItem) {}
+
+  float depth(int face, int i, int j) const {
+    return inv_depth_[Index(face, i, j)];
+  }
+  uint32_t owner(int face, int i, int j) const {
+    const size_t p = Index(face, i, j);
+    return PixelOwner(lo_[p], above_[p]);
+  }
+
+  void RasterizeTriangle(const Vec3& a, const Vec3& b, const Vec3& c,
+                         uint32_t item, uint8_t faces = kAllCubeFaces) {
+    const Vec3 cam[3] = {a - viewpoint_, b - viewpoint_, c - viewpoint_};
+    Vec3 buf_a[16];
+    Vec3 buf_b[16];
+    for (int face = 0; face < 6; ++face) {
+      if ((faces & (1u << face)) == 0) {
+        continue;
+      }
+      const FaceBasis& f = kFaceBases[face];
+      if (f.forward.Dot(cam[0]) <= 0.0 && f.forward.Dot(cam[1]) <= 0.0 &&
+          f.forward.Dot(cam[2]) <= 0.0) {
+        continue;
+      }
+      buf_a[0] = cam[0];
+      buf_a[1] = cam[1];
+      buf_a[2] = cam[2];
+      int n = 3;
+      n = ClipAgainstPlane(buf_a, n, f.forward, 1e-6, buf_b);
+      if (n < 3) continue;
+      const Vec3 fs = f.forward * (1.0 + 1e-9);
+      n = ClipAgainstPlane(buf_b, n, fs - f.right, 0.0, buf_a);
+      if (n < 3) continue;
+      n = ClipAgainstPlane(buf_a, n, fs + f.right, 0.0, buf_b);
+      if (n < 3) continue;
+      n = ClipAgainstPlane(buf_b, n, fs - f.up, 0.0, buf_a);
+      if (n < 3) continue;
+      n = ClipAgainstPlane(buf_a, n, fs + f.up, 0.0, buf_b);
+      if (n < 3) continue;
+      RasterizeOnFace(face, buf_b, n, item);
+    }
+  }
+
+  void RasterizeBox(const Aabb& box, uint32_t item,
+                    uint8_t faces = kAllCubeFaces) {
+    if (box.IsEmpty()) {
+      return;
+    }
+    Vec3 c[8];
+    for (int i = 0; i < 8; ++i) {
+      c[i] = box.Corner(i);
+    }
+    static constexpr int kQuads[6][4] = {{0, 2, 3, 1}, {4, 5, 7, 6},
+                                         {0, 1, 5, 4}, {2, 6, 7, 3},
+                                         {0, 4, 6, 2}, {1, 3, 7, 5}};
+    for (const int* v : kQuads) {
+      RasterizeTriangle(c[v[0]], c[v[1]], c[v[2]], item, faces);
+      RasterizeTriangle(c[v[0]], c[v[2]], c[v[3]], item, faces);
+    }
+  }
+
+ private:
+  size_t Index(int face, int i, int j) const {
+    return (static_cast<size_t>(face) * res_ + j) * res_ + i;
+  }
+
+  static int ClipAgainstPlane(const Vec3* in, int n_in, const Vec3& n,
+                              double offset, Vec3* out) {
+    int n_out = 0;
+    for (int i = 0; i < n_in; ++i) {
+      const Vec3& a = in[i];
+      const Vec3& b = in[(i + 1) % n_in];
+      const double da = n.Dot(a) - offset;
+      const double db = n.Dot(b) - offset;
+      if (da >= 0.0) {
+        out[n_out++] = a;
+      }
+      if ((da >= 0.0) != (db >= 0.0)) {
+        double t = da / (da - db);
+        out[n_out++] = a + (b - a) * t;
+      }
+    }
+    return n_out;
+  }
+
+  void RasterizeOnFace(int face, const Vec3* poly, int n, uint32_t item) {
+    const FaceBasis& f = kFaceBases[face];
+    double u[16];
+    double v[16];
+    double w[16];
+    for (int i = 0; i < n; ++i) {
+      const double depth = f.forward.Dot(poly[i]);
+      const double inv = 1.0 / depth;
+      u[i] = f.right.Dot(poly[i]) * inv;
+      v[i] = f.up.Dot(poly[i]) * inv;
+      w[i] = inv;
+    }
+    const size_t face_offset = static_cast<size_t>(face) * res_ * res_;
+    float* face_depth = inv_depth_.data() + face_offset;
+    uint32_t* face_lo = lo_.data() + face_offset;
+    uint32_t* face_above = above_.data() + face_offset;
+    for (int k = 1; k + 1 < n; ++k) {
+      const double ux[3] = {u[0], u[k], u[k + 1]};
+      const double vy[3] = {v[0], v[k], v[k + 1]};
+      const double ws[3] = {w[0], w[k], w[k + 1]};
+      double min_u = std::min({ux[0], ux[1], ux[2]});
+      double max_u = std::max({ux[0], ux[1], ux[2]});
+      double min_v = std::min({vy[0], vy[1], vy[2]});
+      double max_v = std::max({vy[0], vy[1], vy[2]});
+      int i0 = std::max(0, static_cast<int>((min_u + 1.0) * 0.5 * res_));
+      int i1 = std::min(res_ - 1,
+                        static_cast<int>((max_u + 1.0) * 0.5 * res_));
+      int j0 = std::max(0, static_cast<int>((min_v + 1.0) * 0.5 * res_));
+      int j1 = std::min(res_ - 1,
+                        static_cast<int>((max_v + 1.0) * 0.5 * res_));
+      if (i0 > i1 || j0 > j1) {
+        continue;
+      }
+      const double area = (ux[1] - ux[0]) * (vy[2] - vy[0]) -
+                          (ux[2] - ux[0]) * (vy[1] - vy[0]);
+      if (std::fabs(area) < 1e-18) {
+        continue;
+      }
+      const double inv_area = 1.0 / area;
+      for (int j = j0; j <= j1; ++j) {
+        const double py = 2.0 * (j + 0.5) / res_ - 1.0;
+        for (int i = i0; i <= i1; ++i) {
+          const double px = 2.0 * (i + 0.5) / res_ - 1.0;
+          const double w0 = ((ux[1] - px) * (vy[2] - py) -
+                             (ux[2] - px) * (vy[1] - py)) *
+                            inv_area;
+          const double w1 = ((ux[2] - px) * (vy[0] - py) -
+                             (ux[0] - px) * (vy[2] - py)) *
+                            inv_area;
+          const double w2 = 1.0 - w0 - w1;
+          if (w0 < 0.0 || w1 < 0.0 || w2 < 0.0) {
+            continue;
+          }
+          const double inv_depth = w0 * ws[0] + w1 * ws[1] + w2 * ws[2];
+          const size_t pixel = static_cast<size_t>(j) * res_ + i;
+          UpdatePixel(inv_depth, item, &face_depth[pixel], &face_lo[pixel],
+                      &face_above[pixel]);
+        }
+      }
+    }
+  }
+
+  int res_;
+  Vec3 viewpoint_;
+  std::vector<float> inv_depth_;
+  std::vector<uint32_t> lo_;
+  std::vector<uint32_t> above_;
+};
+
+// Runs `draw` on a live buffer and on the frozen one, both at `viewpoint`,
+// and expects every pixel's inverse-depth bits and owner to agree. Returns
+// the number of covered pixels, so callers can check the case drew.
+template <typename DrawFn>
+int ExpectMatchesFrozenKernel(int res, const Vec3& viewpoint, DrawFn draw,
+                              const std::string& what) {
+  CubeMapOptions opt;
+  opt.face_resolution = res;
+  CubeMapBuffer live(opt);
+  live.Reset(viewpoint);
+  FrozenCubeMap frozen(res, viewpoint);
+  draw(live);
+  draw(frozen);
+  int covered = 0;
+  int mismatches = 0;
+  for (int face = 0; face < 6; ++face) {
+    for (int j = 0; j < res; ++j) {
+      for (int i = 0; i < res; ++i) {
+        const float got = live.PixelInverseDepth(face, i, j);
+        const float want = frozen.depth(face, i, j);
+        const uint32_t owner = frozen.owner(face, i, j);
+        covered += owner != kNoItem;
+        if (std::bit_cast<uint32_t>(got) != std::bit_cast<uint32_t>(want) ||
+            live.PixelItem(face, i, j) != owner) {
+          if (++mismatches <= 3) {
+            ADD_FAILURE() << what << ": face " << face << " pixel (" << i
+                          << ", " << j << ") depth " << got << " vs " << want
+                          << ", owner " << live.PixelItem(face, i, j)
+                          << " vs " << owner;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << what;
+  return covered;
+}
+
+struct Tri {
+  Vec3 a, b, c;
+  uint32_t item;
+  uint8_t faces = kAllCubeFaces;
+};
+
+int ExpectTrianglesMatchFrozen(int res, const Vec3& viewpoint,
+                               const std::vector<Tri>& tris,
+                               const std::string& what) {
+  return ExpectMatchesFrozenKernel(
+      res, viewpoint,
+      [&](auto& buffer) {
+        for (const Tri& t : tris) {
+          buffer.RasterizeTriangle(t.a, t.b, t.c, t.item, t.faces);
+        }
+      },
+      what);
+}
+
+// The camera-space point at depth `d` on `face` that projects to
+// face-plane coordinates (u, v); exact when `d` is a power of two.
+Vec3 OnFace(int face, double u, double v, double d) {
+  const FaceBasis& f = kFaceBases[face];
+  return f.forward * d + f.right * (u * d) + f.up * (v * d);
+}
+
+double PixelCentre(int i, int res) { return 2.0 * (i + 0.5) / res - 1.0; }
+
+TEST(FrozenKernelTest, SeededRandomTriangles) {
+  Rng rng(15);
+  for (int res : {8, 16, 37, 64, 128}) {
+    for (int round = 0; round < 3; ++round) {
+      const Vec3 p(rng.Uniform(-5, 5), rng.Uniform(-5, 5), rng.Uniform(0, 3));
+      std::vector<Tri> tris;
+      for (int t = 0; t < 160; ++t) {
+        // Mostly small triangles at a distance, as city boxes project;
+        // some large ones that span faces.
+        const bool large = rng.Bernoulli(0.2);
+        const Vec3 centre = p + Vec3(rng.Uniform(-30, 30),
+                                     rng.Uniform(-30, 30),
+                                     rng.Uniform(-10, 10));
+        const double size = large ? 25.0 : rng.Uniform(0.2, 4.0);
+        auto vertex = [&] {
+          return centre + Vec3(rng.Uniform(-size, size),
+                               rng.Uniform(-size, size),
+                               rng.Uniform(-size, size));
+        };
+        Tri tri{vertex(), vertex(), vertex(),
+                static_cast<uint32_t>(rng.NextUint64(12))};
+        if (rng.Bernoulli(0.25)) {
+          tri.faces = static_cast<uint8_t>(rng.NextUint64(64));
+        }
+        tris.push_back(tri);
+        if (rng.Bernoulli(0.2)) {  // An exact duplicate: depth ties.
+          tri.item = static_cast<uint32_t>(rng.NextUint64(12));
+          tris.push_back(tri);
+        }
+      }
+      Shuffle(&tris, &rng);
+      const int covered = ExpectTrianglesMatchFrozen(
+          res, p, tris,
+          "res " + std::to_string(res) + " round " + std::to_string(round));
+      EXPECT_GT(covered, 0);
+    }
+  }
+}
+
+TEST(FrozenKernelTest, VerticesAndEdgesOnPixelCentres) {
+  Rng rng(16);
+  const double depths[] = {0.5, 1, 2, 4};
+  for (int res : {8, 16, 64}) {
+    for (int face = 0; face < 6; ++face) {
+      std::vector<Tri> tris;
+      auto at = [&](int i, int j, double d) {
+        return OnFace(face, PixelCentre(i, res), PixelCentre(j, res), d);
+      };
+      for (int t = 0; t < 40; ++t) {
+        // A quad of centre vertices split along a diagonal: the shared
+        // edges run along rows, columns and (when square) diagonals of
+        // pixel centres. Corners may sit past the face edge.
+        const int i0 = rng.UniformInt(-2, res + 1);
+        const int j0 = rng.UniformInt(-2, res + 1);
+        const int di = rng.UniformInt(1, res / 2);
+        const int dj = rng.Bernoulli(0.5) ? di : rng.UniformInt(1, res / 2);
+        const bool flat = rng.Bernoulli(0.5);
+        double d[4];
+        for (double& x : d) {
+          x = flat ? 2.0 : depths[rng.NextUint64(4)];
+        }
+        const uint32_t item = static_cast<uint32_t>(rng.NextUint64(6));
+        const Vec3 c00 = at(i0, j0, d[0]);
+        const Vec3 c10 = at(i0 + di, j0, d[1]);
+        const Vec3 c01 = at(i0, j0 + dj, d[2]);
+        const Vec3 c11 = at(i0 + di, j0 + dj, d[3]);
+        tris.push_back({c00, c10, c01, item});
+        tris.push_back({c10, c11, c01, item + 1});
+        if (rng.Bernoulli(0.3)) {
+          tris.push_back({c01, c00, c10, item + 2});  // Same triangle again.
+        }
+      }
+      EXPECT_GT(ExpectTrianglesMatchFrozen(res, Vec3(0, 0, 0), tris,
+                                           "res " + std::to_string(res) +
+                                               " face " + std::to_string(face)),
+                0);
+    }
+  }
+}
+
+TEST(FrozenKernelTest, SliversAndNearDegenerateAreas) {
+  for (int res : {16, 64, 128}) {
+    std::vector<Tri> tris;
+    uint32_t item = 0;
+    // Collinear, and coincident vertices.
+    tris.push_back({Vec3(4, 0, 0), Vec3(4, 1, 1), Vec3(4, 2, 2), item++});
+    tris.push_back({Vec3(3, 0.5, 0.5), Vec3(3, 0.5 + 1e-12, 0.5),
+                    Vec3(3, -2, 1), item++});
+    // Slivers whose long edge runs along a row of pixel centres, with
+    // heights around the area cut-off.
+    const double row = PixelCentre(res / 2 + 1, res);
+    for (double h : {1e-19, 1e-18, 2e-18, 1e-17, 1e-15, 1e-12, 1e-9, 1e-6,
+                     1e-3}) {
+      tris.push_back({OnFace(0, -0.8, row, 1), OnFace(0, 0.8, row, 1),
+                      OnFace(0, 0.1, row + h, 1), item});
+      tris.push_back({OnFace(2, -0.8, row, 2), OnFace(2, 0.8, row - h, 4),
+                      OnFace(2, 0.1, row + h, 1), item + 1});
+      item += 2;
+    }
+    // Needles across a face and across a seam.
+    tris.push_back({Vec3(1, -0.9, -0.9), Vec3(1, 0.9, 0.9),
+                    Vec3(1, 0.9, 0.9 + 1e-7), item++});
+    tris.push_back({Vec3(2, -3, 0.1), Vec3(2, 3, 0.1), Vec3(2, 3, 0.1 + 1e-9),
+                    item++});
+    // Slivers along random directions.
+    Rng rng(17);
+    for (int t = 0; t < 60; ++t) {
+      const Vec3 a(rng.Uniform(-8, 8), rng.Uniform(-8, 8), rng.Uniform(-8, 8));
+      const Vec3 b(rng.Uniform(-8, 8), rng.Uniform(-8, 8), rng.Uniform(-8, 8));
+      const double eps = std::pow(10.0, -rng.Uniform(3, 14));
+      const Vec3 c = a + (b - a) * rng.Uniform(0, 1) +
+                     Vec3(rng.Uniform(-eps, eps), rng.Uniform(-eps, eps),
+                          rng.Uniform(-eps, eps));
+      tris.push_back({a, b, c, static_cast<uint32_t>(t % 7)});
+    }
+    EXPECT_GT(ExpectTrianglesMatchFrozen(res, Vec3(0, 0, 0), tris,
+                                         "res " + std::to_string(res)),
+              0);
+  }
+}
+
+TEST(FrozenKernelTest, FaceSeamsAndNearPlane) {
+  Rng rng(18);
+  for (int res : {8, 32, 128}) {
+    const Vec3 p(0.25, -0.5, 1.5);
+    std::vector<Tri> tris;
+    auto add = [&](const Vec3& a, const Vec3& b, const Vec3& c,
+                   uint32_t item) {
+      tris.push_back({p + a, p + b, p + c, item});
+    };
+    // Across three faces, and its mirror.
+    add(Vec3(5, 0, 0), Vec3(0, 5, 0), Vec3(0, 0, 5), 0);
+    add(Vec3(-5, 0, 0), Vec3(0, -5, 0), Vec3(0, 0, -5), 1);
+    // Vertices on the x = y seam plane, and straddling it.
+    add(Vec3(4, 4, -1), Vec3(4, 4, 1), Vec3(3, 5, 0), 2);
+    add(Vec3(4, 4, -1), Vec3(4, 4, 1), Vec3(5, 3, 0), 3);
+    add(Vec3(3, -3, 3), Vec3(3, 3, 3), Vec3(3, 0, -3), 4);
+    // Through the near plane: one vertex behind the viewer, and vertices
+    // at the near distance.
+    add(Vec3(-2, 0.5, 0.3), Vec3(3, 1, 0), Vec3(3, -1, 1), 5);
+    add(Vec3(1e-6, 1e-7, 0), Vec3(2, 1, 0.5), Vec3(2, -1, -0.5), 6);
+    add(Vec3(1e-6, 0, 0), Vec3(1e-6, 1, 0), Vec3(1e-6, 0, 1), 7);
+    // Through the viewpoint, and a huge one around it.
+    add(Vec3(-1, -1, 0), Vec3(1, 1, 0), Vec3(1, -1, 0.5), 8);
+    add(Vec3(100, -100, -1), Vec3(-100, 100, -1), Vec3(0, 0, 50), 9);
+    // Small triangles close to the viewer cross seams and the near plane.
+    for (int t = 0; t < 200; ++t) {
+      auto vertex = [&] {
+        return Vec3(rng.Uniform(-1.5, 1.5), rng.Uniform(-1.5, 1.5),
+                    rng.Uniform(-1.5, 1.5));
+      };
+      add(vertex(), vertex(), vertex(), static_cast<uint32_t>(10 + t % 9));
+    }
+    EXPECT_GT(ExpectTrianglesMatchFrozen(res, p, tris,
+                                         "res " + std::to_string(res)),
+              0);
+  }
+}
+
+// Face-on quads (constant depth) whose inverse depth lies one double below
+// the midpoint between two floats: interpolation rounds some pixels up to
+// the upper float, so the same quad drawn again by a lower item ties there
+// above float(1 / depth). The early depth reject needs its margin for this.
+TEST(FrozenKernelTest, TiesJustAboveTheVertexDepth) {
+  int rounded_cases = 0;
+  for (int n = 0; n < 40; ++n) {
+    const float f = 0.05f + 0.001f * n;
+    const float up = std::nextafter(f, 1.0f);
+    const double d =
+        1.0 / std::nextafter((static_cast<double>(f) + up) / 2, 0.0);
+    const Vec3 a(d, -0.9 * d, -0.9 * d), b(d, 0.9 * d, -0.9 * d);
+    const Vec3 c(d, 0.9 * d, 0.9 * d), e(d, -0.9 * d, 0.9 * d);
+    auto draw = [&](auto& buffer, uint32_t item) {
+      buffer.RasterizeTriangle(a, b, c, item);
+      buffer.RasterizeTriangle(a, c, e, item);
+    };
+    ExpectMatchesFrozenKernel(
+        16, Vec3(0, 0, 0),
+        [&](auto& buffer) {
+          draw(buffer, 1);
+          draw(buffer, 0);
+        },
+        "depth " + std::to_string(d));
+    CubeMapBuffer once(CubeMapOptions{16});
+    once.Reset(Vec3(0, 0, 0));
+    draw(once, 1);
+    bool rounded_up = false;
+    for (int j = 0; j < 16; ++j) {
+      for (int i = 0; i < 16; ++i) {
+        rounded_up = rounded_up || once.PixelInverseDepth(0, i, j) == up;
+      }
+    }
+    rounded_cases += rounded_up;
+  }
+  EXPECT_GT(rounded_cases, 0);  // Else the case tests nothing.
+}
+
+TEST(FrozenKernelTest, BoxesSeenFromEveryOctant) {
+  const Aabb box(Vec3(-1, -2, -0.5), Vec3(2, 1, 3));
+  const std::vector<std::pair<Aabb, uint32_t>> boxes = {
+      {box, 2},
+      {Aabb(Vec3(2, -2, -0.5), Vec3(4, 1, 3)), 0},  // Touches box at x = 2.
+      {box, 5},                                     // A duplicate.
+      {Aabb(Vec3(0, 0, 2), Vec3(3, 3, 5)), 1},      // Overlaps box.
+      {Aabb(Vec3(-40, -40, -40), Vec3(40, 40, 40)), 7},  // Encloses all.
+  };
+  // Per axis: below, on the min plane, inside, on the max plane, above.
+  auto positions = [](double lo, double hi) {
+    return std::vector<double>{lo - 3.7, lo, (lo + hi) / 2, hi, hi + 2.9};
+  };
+  for (int res : {16, 64}) {
+    for (double x : positions(box.min.x, box.max.x)) {
+      for (double y : positions(box.min.y, box.max.y)) {
+        for (double z : positions(box.min.z, box.max.z)) {
+          const int covered = ExpectMatchesFrozenKernel(
+              res, Vec3(x, y, z),
+              [&](auto& buffer) {
+                for (const auto& [b, item] : boxes) {
+                  buffer.RasterizeBox(b, item);
+                }
+              },
+              "res " + std::to_string(res) + " viewpoint " +
+                  std::to_string(x) + " " + std::to_string(y) + " " +
+                  std::to_string(z));
+          EXPECT_GT(covered, 0);
+        }
+      }
+    }
+  }
+}
+
 TEST(CellVisibilityTest, DovOfLookup) {
   CellVisibility cell;
   cell.ids = {3, 7, 9};
