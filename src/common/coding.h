@@ -72,6 +72,16 @@ class Decoder {
     return Status::OK();
   }
 
+  // The next `n` bytes, as a view into the input.
+  Status DecodeBytes(size_t n, std::string_view* out) {
+    if (remaining() < n) {
+      return Status::Corruption("decoder: read past end of input");
+    }
+    *out = data_.substr(pos_, n);
+    pos_ += n;
+    return Status::OK();
+  }
+
   Status Skip(size_t n) {
     if (remaining() < n) {
       return Status::Corruption("decoder: skip past end of input");

@@ -277,6 +277,12 @@ Result<std::unique_ptr<SnapshotLoader>> SnapshotLoader::Open(
     HDOV_RETURN_IF_ERROR(cat.DecodeFixed64(&entry.offset));
     HDOV_RETURN_IF_ERROR(cat.DecodeFixed64(&entry.length));
     HDOV_RETURN_IF_ERROR(cat.DecodeFixed32(&entry.crc));
+    // Checked like the catalog itself, so that no read sizes a buffer from
+    // an extent the file cannot hold.
+    if (entry.offset > file_size || entry.length > file_size - entry.offset) {
+      return Status::Corruption("snapshot: section " + name +
+                                " past the end of " + path);
+    }
     loader->sections_.emplace(std::move(name), entry);
   }
   return loader;

@@ -223,8 +223,17 @@ Status FilePageDevice::LoadExisting() {
     return Status::InvalidArgument(
         "file device: file page size does not match the device model");
   }
-  if (table_length != page_count * kTableEntryBytes) {
+  // Divides rather than multiplies, so that no page count can wrap the
+  // product into agreement with a short table.
+  if (table_length % kTableEntryBytes != 0 ||
+      table_length / kTableEntryBytes != page_count) {
     return Status::Corruption("file device: inconsistent table length in " +
+                              file_->path());
+  }
+  HDOV_ASSIGN_OR_RETURN(const uint64_t file_size, file_->Size());
+  if (region_offset_ > file_size || table_offset > file_size - region_offset_ ||
+      table_length > file_size - region_offset_ - table_offset) {
+    return Status::Corruption("file device: page table past the end of " +
                               file_->path());
   }
   std::string table(table_length, '\0');

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <fstream>
+#include <iterator>
+#include <utility>
 
 #include "common/coding.h"
+#include "common/file_io.h"
 #include "telemetry/json.h"
 #include "telemetry/trace_context.h"
 
@@ -70,6 +72,28 @@ NameTable& GlobalNames() {
   return *table;
 }
 
+// The event codec. A ring slot and a dump's event row hold the same four
+// little-endian u64 words: ts_ns, meta, a, b (docs/telemetry.md, "Event
+// rows"). The meta word packs
+//   type(8) | stage(8) | code(16) | session(16) | thread(16).
+constexpr size_t kFlightEventBytes = 32;
+
+inline uint64_t PackFlightMeta(uint8_t type, uint8_t stage, uint16_t code,
+                               uint16_t session, uint16_t thread) {
+  return static_cast<uint64_t>(type) | (static_cast<uint64_t>(stage) << 8) |
+         (static_cast<uint64_t>(code) << 16) |
+         (static_cast<uint64_t>(session) << 32) |
+         (static_cast<uint64_t>(thread) << 48);
+}
+
+inline void UnpackFlightMeta(uint64_t meta, FlightEvent* ev) {
+  ev->type = static_cast<uint8_t>(meta & 0xff);
+  ev->stage = static_cast<uint8_t>((meta >> 8) & 0xff);
+  ev->code = static_cast<uint16_t>((meta >> 16) & 0xffff);
+  ev->session = static_cast<uint16_t>((meta >> 32) & 0xffff);
+  ev->thread = static_cast<uint16_t>(meta >> 48);
+}
+
 uint64_t RoundUpPow2(uint64_t v) {
   uint64_t p = 1;
   while (p < v) {
@@ -119,6 +143,16 @@ size_t FlightNameCount() {
 
 uint64_t FlightNamesDropped() {
   return GlobalNames().dropped.load(std::memory_order_relaxed);
+}
+
+std::vector<std::string> FlightNameTable() {
+  const size_t count = FlightNameCount();
+  std::vector<std::string> names;
+  names.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    names.emplace_back(FlightNameForId(static_cast<uint16_t>(i)));
+  }
+  return names;
 }
 
 namespace {
@@ -173,11 +207,9 @@ void FlightRecorder::RecordWithStage(FlightEventType type, uint16_t code,
   const uint64_t idx = buf->head.load(std::memory_order_relaxed);
   Slot& slot = buf->ring[idx & (capacity_ - 1)];
   slot.w[0].store(FlightNowNs(), std::memory_order_relaxed);
-  slot.w[1].store(static_cast<uint64_t>(type) |
-                      (static_cast<uint64_t>(stage) << 8) |
-                      (static_cast<uint64_t>(code) << 16) |
-                      (static_cast<uint64_t>(ctx.session) << 32) |
-                      (static_cast<uint64_t>(buf->id & 0xffff) << 48),
+  slot.w[1].store(PackFlightMeta(static_cast<uint8_t>(type), stage, code,
+                                 ctx.session,
+                                 static_cast<uint16_t>(buf->id)),
                   std::memory_order_relaxed);
   slot.w[2].store(a, std::memory_order_relaxed);
   slot.w[3].store(b, std::memory_order_relaxed);
@@ -238,12 +270,7 @@ FlightDump FlightRecorder::Drain(bool consume) {
       const Slot& slot = buf->ring[idx & (capacity_ - 1)];
       FlightEvent ev;
       ev.ts_ns = slot.w[0].load(std::memory_order_relaxed);
-      const uint64_t meta = slot.w[1].load(std::memory_order_relaxed);
-      ev.type = static_cast<uint8_t>(meta & 0xff);
-      ev.stage = static_cast<uint8_t>((meta >> 8) & 0xff);
-      ev.code = static_cast<uint16_t>((meta >> 16) & 0xffff);
-      ev.session = static_cast<uint16_t>((meta >> 32) & 0xffff);
-      ev.thread = static_cast<uint16_t>(meta >> 48);
+      UnpackFlightMeta(slot.w[1].load(std::memory_order_relaxed), &ev);
       ev.a = slot.w[2].load(std::memory_order_relaxed);
       ev.b = slot.w[3].load(std::memory_order_relaxed);
       pending.push_back(Pending{idx, ev});
@@ -269,22 +296,78 @@ FlightDump FlightRecorder::Drain(bool consume) {
                      return x.ts_ns != y.ts_ns ? x.ts_ns < y.ts_ns
                                                : x.thread < y.thread;
                    });
-  // Snapshot the global name table so the dump is self-describing.
-  const size_t names = FlightNameCount();
-  dump.names.reserve(names);
-  for (size_t i = 0; i < names; ++i) {
-    dump.names.emplace_back(FlightNameForId(static_cast<uint16_t>(i)));
-  }
+  dump.names = FlightNameTable();
   dump.names_dropped = FlightNamesDropped();
   return dump;
 }
 
 // ---------------------------------------------------------------------
-// Dump container: "HDOVFREC" magic, version, name table, packed events.
+// The name-table and event-row sections both containers share.
+
+void EncodeFlightNames(const std::vector<std::string>& names,
+                       std::string* out) {
+  for (const std::string& name : names) {
+    EncodeFixed32(out, static_cast<uint32_t>(name.size()));
+    out->append(name);
+  }
+}
+
+Status DecodeFlightNames(Decoder* dec, uint32_t count, std::string_view what,
+                         std::vector<std::string>* names) {
+  if (count > kMaxFlightNames) {
+    return Status::Corruption(std::string(what) + ": name table too large");
+  }
+  names->reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    uint32_t len = 0;
+    std::string_view name;
+    HDOV_RETURN_IF_ERROR(dec->DecodeFixed32(&len));
+    if (!dec->DecodeBytes(len, &name).ok()) {
+      return Status::Corruption(std::string(what) + ": truncated name");
+    }
+    names->emplace_back(name);
+  }
+  return Status::OK();
+}
+
+void EncodeFlightEvents(const std::vector<FlightEvent>& events,
+                        std::string* out) {
+  for (const FlightEvent& ev : events) {
+    EncodeFixed64(out, ev.ts_ns);
+    EncodeFixed64(out, PackFlightMeta(ev.type, ev.stage, ev.code, ev.session,
+                                      ev.thread));
+    EncodeFixed64(out, ev.a);
+    EncodeFixed64(out, ev.b);
+  }
+}
+
+Status DecodeFlightEvents(Decoder* dec, uint64_t count,
+                          std::string_view what,
+                          std::vector<FlightEvent>* events) {
+  if (count > dec->remaining() / kFlightEventBytes) {
+    return Status::Corruption(std::string(what) +
+                              ": truncated event section");
+  }
+  events->reserve(static_cast<size_t>(count));
+  for (uint64_t i = 0; i < count; ++i) {
+    FlightEvent ev;
+    uint64_t meta = 0;
+    HDOV_RETURN_IF_ERROR(dec->DecodeFixed64(&ev.ts_ns));
+    HDOV_RETURN_IF_ERROR(dec->DecodeFixed64(&meta));
+    HDOV_RETURN_IF_ERROR(dec->DecodeFixed64(&ev.a));
+    HDOV_RETURN_IF_ERROR(dec->DecodeFixed64(&ev.b));
+    UnpackFlightMeta(meta, &ev);
+    events->push_back(ev);
+  }
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------
+// Dump container: "HDOVFREC" magic, version, name table, event rows.
 // v1: header {names, events, dropped}; event meta packs
 //     type(16) | code(16) | thread(32).
-// v2: header gains names_dropped; event meta packs
-//     type(8) | stage(8) | code(16) | session(16) | thread(16).
+// v2: header gains names_dropped; event rows as PackFlightMeta packs
+//     them.
 // The reader accepts both; v1 events decode with session/stage zero
 // (old dumps predate attribution).
 
@@ -301,20 +384,8 @@ std::string EncodeFlightDump(const FlightDump& dump) {
   EncodeFixed64(&out, dump.events.size());
   EncodeFixed64(&out, dump.dropped);
   EncodeFixed64(&out, dump.names_dropped);
-  for (const std::string& name : dump.names) {
-    EncodeFixed32(&out, static_cast<uint32_t>(name.size()));
-    out.append(name);
-  }
-  for (const FlightEvent& ev : dump.events) {
-    EncodeFixed64(&out, ev.ts_ns);
-    EncodeFixed64(&out, static_cast<uint64_t>(ev.type) |
-                            (static_cast<uint64_t>(ev.stage) << 8) |
-                            (static_cast<uint64_t>(ev.code) << 16) |
-                            (static_cast<uint64_t>(ev.session) << 32) |
-                            (static_cast<uint64_t>(ev.thread) << 48));
-    EncodeFixed64(&out, ev.a);
-    EncodeFixed64(&out, ev.b);
-  }
+  EncodeFlightNames(dump.names, &out);
+  EncodeFlightEvents(dump.events, &out);
   return out;
 }
 
@@ -325,8 +396,7 @@ Result<FlightDump> DecodeFlightDump(std::string_view data) {
           0) {
     return Status::Corruption("flight dump: bad magic");
   }
-  const std::string_view body = data.substr(sizeof(kFlightMagic));
-  Decoder dec(body);
+  Decoder dec(data.substr(sizeof(kFlightMagic)));
   uint32_t version = 0;
   uint32_t name_count = 0;
   uint64_t event_count = 0;
@@ -342,45 +412,18 @@ Result<FlightDump> DecodeFlightDump(std::string_view data) {
   if (version >= 2) {
     HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&dump.names_dropped));
   }
-  if (name_count > kMaxFlightNames) {
-    return Status::Corruption("flight dump: name table too large");
-  }
-  if (event_count > dec.remaining() / 32) {
-    return Status::Corruption("flight dump: truncated event section");
-  }
-  dump.names.reserve(name_count);
-  for (uint32_t i = 0; i < name_count; ++i) {
-    uint32_t len = 0;
-    HDOV_RETURN_IF_ERROR(dec.DecodeFixed32(&len));
-    if (len > dec.remaining()) {
-      return Status::Corruption("flight dump: truncated name");
-    }
-    dump.names.emplace_back(body.substr(dec.position(), len));
-    HDOV_RETURN_IF_ERROR(dec.Skip(len));
-  }
-  dump.events.reserve(static_cast<size_t>(event_count));
-  for (uint64_t i = 0; i < event_count; ++i) {
-    FlightEvent ev;
-    uint64_t meta = 0;
-    HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&ev.ts_ns));
-    HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&meta));
-    HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&ev.a));
-    HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&ev.b));
-    if (version >= 2) {
-      ev.type = static_cast<uint8_t>(meta & 0xff);
-      ev.stage = static_cast<uint8_t>((meta >> 8) & 0xff);
-      ev.code = static_cast<uint16_t>((meta >> 16) & 0xffff);
-      ev.session = static_cast<uint16_t>((meta >> 32) & 0xffff);
-      ev.thread = static_cast<uint16_t>(meta >> 48);
-    } else {
-      // v1 layout; no session/stage attribution existed.
-      ev.type = static_cast<uint8_t>(meta & 0xffff);
-      ev.code = static_cast<uint16_t>((meta >> 16) & 0xffff);
-      ev.thread = static_cast<uint16_t>((meta >> 32) & 0xffff);
+  HDOV_RETURN_IF_ERROR(
+      DecodeFlightNames(&dec, name_count, "flight dump", &dump.names));
+  HDOV_RETURN_IF_ERROR(
+      DecodeFlightEvents(&dec, event_count, "flight dump", &dump.events));
+  if (version == 1) {
+    // The v1 meta word read as v2 leaves type and code in place and the
+    // v1 thread in `session`; attribution did not exist yet.
+    for (FlightEvent& ev : dump.events) {
+      ev.thread = ev.session;
       ev.session = 0;
       ev.stage = 0;
     }
-    dump.events.push_back(ev);
   }
   if (dec.remaining() != 0) {
     return Status::Corruption("flight dump: trailing bytes");
@@ -389,107 +432,50 @@ Result<FlightDump> DecodeFlightDump(std::string_view data) {
 }
 
 Status FlightRecorder::WriteDump(const std::string& path, bool consume) {
-  const std::string encoded = EncodeFlightDump(Drain(consume));
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("flight dump: cannot open " + path);
-  }
-  out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
-  if (!out) {
-    return Status::IoError("flight dump: write to " + path + " failed");
-  }
-  return Status::OK();
+  return WriteStringToFile(path, EncodeFlightDump(Drain(consume)));
 }
 
 Result<FlightDump> FlightRecorder::ReadDump(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("flight dump: cannot open " + path);
-  }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return Status::IoError("flight dump: read from " + path + " failed");
-  }
+  HDOV_ASSIGN_OR_RETURN(const std::string data, ReadFileToString(path));
   return DecodeFlightDump(data);
 }
 
 std::string FlightChromeTraceJson(const FlightDump& dump) {
-  constexpr int kFlightPid = 3;  // Pids 1/2 belong to Telemetry's export.
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("displayTimeUnit").String("ms");
-  w.Key("traceEvents").BeginArray();
-  w.BeginObject();
-  w.Key("name").String("process_name");
-  w.Key("ph").String("M");
-  w.Key("pid").Number(static_cast<uint64_t>(kFlightPid));
-  w.Key("args").BeginObject();
-  w.Key("name").String("flight recorder (wall time)");
-  w.EndObject();
-  w.EndObject();
+  ChromeTraceWriter trace;
+  trace.ProcessName(kChromePidFlight, "flight recorder (wall time)");
+  // Category and phase by FlightEventType: frames and spans pair into
+  // "B"/"E" events, the rest become instants; kNone is skipped.
+  static constexpr std::pair<std::string_view, std::string_view> kShape[] = {
+      {},
+      {"span", "B"},     {"span", "E"},      // kSpanBegin, kSpanEnd
+      {"io", "i"},       {"io", "i"},        // kPageRead, kPageWrite
+      {"pool", "i"},     {"pool", "i"},      // kPoolHit, kPoolMiss
+      {"frame", "B"},    {"frame", "E"},     // kFrameBegin, kFrameEnd
+      {"prefetch", "i"}, {"prefetch", "i"}}; // kPrefetchUsed, kPrefetchCancel
+  static_assert(std::size(kShape) ==
+                static_cast<size_t>(FlightEventType::kPrefetchCancel) + 1);
   for (const FlightEvent& ev : dump.events) {
-    const auto type = static_cast<FlightEventType>(ev.type);
-    const double ts_us = static_cast<double>(ev.ts_ns) / 1000.0;
-    const auto emit = [&](std::string_view cat, std::string_view ph) {
-      w.BeginObject();
-      w.Key("name").String(dump.NameOf(ev));
-      w.Key("cat").String(cat);
-      w.Key("ph").String(ph);
-      if (ph == "i") {
-        w.Key("s").String("t");
-      }
-      w.Key("pid").Number(static_cast<uint64_t>(kFlightPid));
-      w.Key("tid").Number(static_cast<uint64_t>(ev.thread));
-      w.Key("ts").Number(ts_us);
-      w.Key("args").BeginObject();
-      w.Key("type").String(FlightEventTypeName(type));
-      w.Key("a").Number(ev.a);
-      w.Key("b").Number(ev.b);
-      if (ev.session != 0) {
-        w.Key("session").String(ev.session < dump.names.size()
-                                    ? std::string_view(dump.names[ev.session])
-                                    : std::string_view("?"));
-      }
-      if (ev.stage != 0) {
-        w.Key("stage").String(
-            TraceStageName(static_cast<TraceStage>(ev.stage)));
-      }
-      w.EndObject();
-      w.EndObject();
-    };
-    switch (type) {
-      case FlightEventType::kFrameBegin:
-        emit("frame", "B");
-        break;
-      case FlightEventType::kFrameEnd:
-        emit("frame", "E");
-        break;
-      case FlightEventType::kSpanBegin:
-        emit("span", "B");
-        break;
-      case FlightEventType::kSpanEnd:
-        emit("span", "E");
-        break;
-      case FlightEventType::kPageRead:
-      case FlightEventType::kPageWrite:
-        emit("io", "i");
-        break;
-      case FlightEventType::kPoolHit:
-      case FlightEventType::kPoolMiss:
-        emit("pool", "i");
-        break;
-      case FlightEventType::kPrefetchUsed:
-      case FlightEventType::kPrefetchCancel:
-        emit("prefetch", "i");
-        break;
-      case FlightEventType::kNone:
-        break;
+    if (ev.type == 0 || ev.type >= std::size(kShape)) {
+      continue;  // Also types a newer or damaged dump may carry.
     }
+    const auto type = static_cast<FlightEventType>(ev.type);
+    const auto& [cat, ph] = kShape[ev.type];
+    trace.Event(ph, dump.NameOf(ev), cat, kChromePidFlight, ev.thread,
+                static_cast<double>(ev.ts_ns) / 1000.0,
+                [&](JsonWriter& args) {
+                  args.Key("type").String(FlightEventTypeName(type));
+                  args.Key("a").Number(ev.a);
+                  args.Key("b").Number(ev.b);
+                  if (ev.session != 0) {
+                    args.Key("session").String(dump.NameOf(ev.session));
+                  }
+                  if (ev.stage != 0) {
+                    args.Key("stage").String(
+                        TraceStageName(static_cast<TraceStage>(ev.stage)));
+                  }
+                });
   }
-  w.EndArray();
-  w.EndObject();
-  return w.TakeString();
+  return trace.Finish();
 }
 
 FlightRecorder& GlobalFlightRecorder() {

@@ -37,6 +37,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -101,9 +102,10 @@ struct FlightDump {
   uint64_t dropped = 0;             // Ring overwrites of undrained events.
   uint64_t names_dropped = 0;       // Intern calls degraded to "?" (v2+).
 
-  std::string_view NameOf(const FlightEvent& e) const {
-    return e.code < names.size() ? std::string_view(names[e.code]) : "?";
+  std::string_view NameOf(uint16_t id) const {
+    return id < names.size() ? std::string_view(names[id]) : "?";
   }
+  std::string_view NameOf(const FlightEvent& e) const { return NameOf(e.code); }
 };
 
 class FlightRecorder {
@@ -189,12 +191,28 @@ FlightRecorder& GlobalFlightRecorder();
 std::string EncodeFlightDump(const FlightDump& dump);
 Result<FlightDump> DecodeFlightDump(std::string_view data);
 
-// Chrome trace-event conversion: frame begin/end and span begin/end pair
-// into "B"/"E" events per ring thread, page/pool events become instants,
-// all on the recorder's steady-clock timeline under pid 3 (the telemetry
-// exporter uses pids 1 and 2, slow-frame dumps pid 4; see
-// docs/telemetry.md). Session/stage attribution lands in each event's
-// args.
+// The two sections both dump containers (HDOVFREC, HDOVSLOW) share. Each
+// container writes the counts in its own header; `what` names the
+// container in Corruption messages. Decoding rejects more than
+// kMaxFlightNames names and any count the remaining input cannot hold.
+void EncodeFlightNames(const std::vector<std::string>& names,
+                       std::string* out);
+Status DecodeFlightNames(Decoder* dec, uint32_t count, std::string_view what,
+                         std::vector<std::string>* names);
+void EncodeFlightEvents(const std::vector<FlightEvent>& events,
+                        std::string* out);
+Status DecodeFlightEvents(Decoder* dec, uint64_t count,
+                          std::string_view what,
+                          std::vector<FlightEvent>* events);
+
+// Snapshot of the process-wide name table, so that a dump is
+// self-describing.
+std::vector<std::string> FlightNameTable();
+
+// Chrome trace-event conversion (pid table in docs/telemetry.md): frame
+// begin/end and span begin/end pair into "B"/"E" events per ring thread,
+// page/pool events become instants, all on the recorder's steady-clock
+// timeline. Session/stage attribution lands in each event's args.
 std::string FlightChromeTraceJson(const FlightDump& dump);
 
 // Nanoseconds since the process flight epoch (first use).

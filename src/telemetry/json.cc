@@ -134,6 +134,84 @@ JsonWriter& JsonWriter::Raw(std::string_view json) {
   return *this;
 }
 
+ChromeTraceWriter::ChromeTraceWriter() {
+  w_.BeginObject();
+  w_.Key("displayTimeUnit").String("ms");
+  w_.Key("traceEvents").BeginArray();
+}
+
+void ChromeTraceWriter::ProcessName(uint64_t pid, std::string_view name) {
+  Metadata("process_name", pid, nullptr, name);
+}
+
+void ChromeTraceWriter::ThreadName(uint64_t pid, uint64_t tid,
+                                   std::string_view name) {
+  Metadata("thread_name", pid, &tid, name);
+}
+
+void ChromeTraceWriter::Metadata(std::string_view kind, uint64_t pid,
+                                 const uint64_t* tid, std::string_view name) {
+  w_.BeginObject();
+  w_.Key("name").String(kind);
+  w_.Key("ph").String("M");
+  w_.Key("pid").Number(pid);
+  if (tid != nullptr) {
+    w_.Key("tid").Number(*tid);
+  }
+  w_.Key("args").BeginObject();
+  w_.Key("name").String(name);
+  w_.EndObject();
+  w_.EndObject();
+}
+
+void ChromeTraceWriter::Head(std::string_view name, std::string_view cat,
+                             std::string_view ph, uint64_t pid, uint64_t tid,
+                             double ts_us) {
+  w_.BeginObject();
+  w_.Key("name").String(name);
+  if (!cat.empty()) {
+    w_.Key("cat").String(cat);
+  }
+  w_.Key("ph").String(ph);
+  if (ph == "i") {
+    w_.Key("s").String("t");
+  }
+  w_.Key("pid").Number(pid);
+  w_.Key("tid").Number(tid);
+  w_.Key("ts").Number(ts_us);
+}
+
+void ChromeTraceWriter::Tail(const ArgsFn& args) {
+  if (args) {
+    w_.Key("args").BeginObject();
+    args(w_);
+    w_.EndObject();
+  }
+  w_.EndObject();
+}
+
+void ChromeTraceWriter::Complete(std::string_view name, std::string_view cat,
+                                 uint64_t pid, uint64_t tid, double ts_us,
+                                 double dur_us, const ArgsFn& args) {
+  Head(name, cat, "X", pid, tid, ts_us);
+  w_.Key("dur").Number(dur_us);
+  Tail(args);
+}
+
+void ChromeTraceWriter::Event(std::string_view ph, std::string_view name,
+                              std::string_view cat, uint64_t pid,
+                              uint64_t tid, double ts_us,
+                              const ArgsFn& args) {
+  Head(name, cat, ph, pid, tid, ts_us);
+  Tail(args);
+}
+
+std::string ChromeTraceWriter::Finish() {
+  w_.EndArray();
+  w_.EndObject();
+  return w_.TakeString();
+}
+
 const JsonValue* JsonValue::Find(std::string_view key) const {
   if (type != Type::kObject) {
     return nullptr;

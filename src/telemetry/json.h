@@ -10,6 +10,7 @@
 #define HDOV_TELEMETRY_JSON_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -51,6 +52,56 @@ class JsonWriter {
   // One entry per open container: true until the first element is written.
   std::vector<bool> first_;
   bool after_key_ = false;
+};
+
+// The Chrome trace-event export's process ids, one per exporter (pid
+// table in docs/telemetry.md), so that their tracks never collide when
+// several traces are loaded together.
+inline constexpr uint64_t kChromePidFrames = 1;  // Telemetry frames.
+inline constexpr uint64_t kChromePidSpans = 2;   // Telemetry span trees.
+inline constexpr uint64_t kChromePidFlight = 3;  // Flight recorder dumps.
+inline constexpr uint64_t kChromePidSlow = 4;    // Slow-frame captures.
+
+// Writer of one Chrome trace-event (catapult) document, as loaded by
+// chrome://tracing and ui.perfetto.dev:
+//   {"displayTimeUnit":"ms","traceEvents":[...]}
+// Every Chrome exporter writes through it, so that each event shape is
+// coded once. Timestamps and durations are in microseconds.
+class ChromeTraceWriter {
+ public:
+  // Fills the members of an event's "args" object; an empty one writes
+  // no "args" at all.
+  using ArgsFn = std::function<void(JsonWriter&)>;
+
+  ChromeTraceWriter();
+
+  // "M" metadata events naming a process and a thread track.
+  void ProcessName(uint64_t pid, std::string_view name);
+  void ThreadName(uint64_t pid, uint64_t tid, std::string_view name);
+  // "X" complete slice.
+  void Complete(std::string_view name, std::string_view cat, uint64_t pid,
+                uint64_t tid, double ts_us, double dur_us,
+                const ArgsFn& args = nullptr);
+  // By `ph`: a "B"/"E" duration half, a thread-scoped "i" instant or a
+  // "C" counter sample (whose `args` hold the series values). An empty
+  // `cat` is omitted.
+  void Event(std::string_view ph, std::string_view name, std::string_view cat,
+             uint64_t pid, uint64_t tid, double ts_us, const ArgsFn& args);
+
+  // Closes the document and returns it.
+  std::string Finish();
+
+ private:
+  // `tid` is null for process metadata.
+  void Metadata(std::string_view kind, uint64_t pid, const uint64_t* tid,
+                std::string_view name);
+  // Opens an event and writes its common members.
+  void Head(std::string_view name, std::string_view cat, std::string_view ph,
+            uint64_t pid, uint64_t tid, double ts_us);
+  // Writes the args and closes the event.
+  void Tail(const ArgsFn& args);
+
+  JsonWriter w_;
 };
 
 // Parsed JSON value. Numbers are stored as doubles (telemetry counters

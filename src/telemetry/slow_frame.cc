@@ -1,9 +1,10 @@
 #include "telemetry/slow_frame.h"
 
 #include <algorithm>
-#include <fstream>
+#include <set>
 
 #include "common/coding.h"
+#include "common/file_io.h"
 #include "telemetry/json.h"
 
 namespace hdov::telemetry {
@@ -21,14 +22,7 @@ void SlowFrameCapture::Configure(const SlowFrameOptions& options) {
   captures_.clear();
 }
 
-void SlowFrameCapture::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  frames_seen_ = 0;
-  captures_dropped_ = 0;
-  ring_.clear();
-  ring_next_ = 0;
-  captures_.clear();
-}
+void SlowFrameCapture::Reset() { Configure(options_); }
 
 bool SlowFrameCapture::enabled() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -124,39 +118,17 @@ SlowDump SlowFrameCapture::Snapshot() const {
     dump.frames_seen = frames_seen_;
     dump.captures_dropped = captures_dropped_;
   }
-  // Session ids and event codes share the flight name table; snapshot it
-  // so the dump is self-describing.
-  const size_t names = FlightNameCount();
-  dump.names.reserve(names);
-  for (size_t i = 0; i < names; ++i) {
-    dump.names.emplace_back(FlightNameForId(static_cast<uint16_t>(i)));
-  }
+  // Session ids and event codes share the flight name table.
+  dump.names = FlightNameTable();
   return dump;
 }
 
 Status SlowFrameCapture::WriteDump(const std::string& path) const {
-  const std::string encoded = EncodeSlowDump(Snapshot());
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("slow dump: cannot open " + path);
-  }
-  out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
-  if (!out) {
-    return Status::IoError("slow dump: write to " + path + " failed");
-  }
-  return Status::OK();
+  return WriteStringToFile(path, EncodeSlowDump(Snapshot()));
 }
 
 Result<SlowDump> SlowFrameCapture::ReadDump(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("slow dump: cannot open " + path);
-  }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return Status::IoError("slow dump: read from " + path + " failed");
-  }
+  HDOV_ASSIGN_OR_RETURN(const std::string data, ReadFileToString(path));
   return DecodeSlowDump(data);
 }
 
@@ -168,8 +140,9 @@ SlowFrameCapture& GlobalSlowFrameCapture() {
 }
 
 // ---------------------------------------------------------------------
-// Dump container: "HDOVSLOW" magic, version, name table, captures.
-// Thresholds are stored as nanoseconds so the container stays all-integer.
+// Dump container: "HDOVSLOW" magic, version, name table, captures, each
+// with its event rows in the HDOVFREC v2 layout. Thresholds are stored as
+// nanoseconds so the container stays all-integer.
 
 namespace {
 constexpr char kSlowMagic[8] = {'H', 'D', 'O', 'V', 'S', 'L', 'O', 'W'};
@@ -184,10 +157,7 @@ std::string EncodeSlowDump(const SlowDump& dump) {
   EncodeFixed64(&out, dump.frames_seen);
   EncodeFixed64(&out, dump.captures_dropped);
   EncodeFixed32(&out, static_cast<uint32_t>(dump.captures.size()));
-  for (const std::string& name : dump.names) {
-    EncodeFixed32(&out, static_cast<uint32_t>(name.size()));
-    out.append(name);
-  }
+  EncodeFlightNames(dump.names, &out);
   for (const SlowFrameEntry& cap : dump.captures) {
     const FrameStageRecord& r = cap.record;
     EncodeFixed32(&out, r.session);
@@ -203,16 +173,7 @@ std::string EncodeSlowDump(const SlowDump& dump) {
       EncodeFixed64(&out, ns);
     }
     EncodeFixed64(&out, cap.events.size());
-    for (const FlightEvent& ev : cap.events) {
-      EncodeFixed64(&out, ev.ts_ns);
-      EncodeFixed64(&out, static_cast<uint64_t>(ev.type) |
-                              (static_cast<uint64_t>(ev.stage) << 8) |
-                              (static_cast<uint64_t>(ev.code) << 16) |
-                              (static_cast<uint64_t>(ev.session) << 32) |
-                              (static_cast<uint64_t>(ev.thread) << 48));
-      EncodeFixed64(&out, ev.a);
-      EncodeFixed64(&out, ev.b);
-    }
+    EncodeFlightEvents(cap.events, &out);
   }
   return out;
 }
@@ -223,8 +184,7 @@ Result<SlowDump> DecodeSlowDump(std::string_view data) {
                    std::string_view(kSlowMagic, sizeof(kSlowMagic))) != 0) {
     return Status::Corruption("slow dump: bad magic");
   }
-  const std::string_view body = data.substr(sizeof(kSlowMagic));
-  Decoder dec(body);
+  Decoder dec(data.substr(sizeof(kSlowMagic)));
   uint32_t version = 0;
   uint32_t name_count = 0;
   uint32_t capture_count = 0;
@@ -238,19 +198,8 @@ Result<SlowDump> DecodeSlowDump(std::string_view data) {
   HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&dump.frames_seen));
   HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&dump.captures_dropped));
   HDOV_RETURN_IF_ERROR(dec.DecodeFixed32(&capture_count));
-  if (name_count > kMaxFlightNames) {
-    return Status::Corruption("slow dump: name table too large");
-  }
-  dump.names.reserve(name_count);
-  for (uint32_t i = 0; i < name_count; ++i) {
-    uint32_t len = 0;
-    HDOV_RETURN_IF_ERROR(dec.DecodeFixed32(&len));
-    if (len > dec.remaining()) {
-      return Status::Corruption("slow dump: truncated name");
-    }
-    dump.names.emplace_back(body.substr(dec.position(), len));
-    HDOV_RETURN_IF_ERROR(dec.Skip(len));
-  }
+  HDOV_RETURN_IF_ERROR(
+      DecodeFlightNames(&dec, name_count, "slow dump", &dump.names));
   // A capture is at least 64 bytes (its fixed fields and event count).
   HDOV_RETURN_IF_ERROR(dec.CheckCount(capture_count, 64));
   dump.captures.reserve(capture_count);
@@ -282,24 +231,8 @@ Result<SlowDump> DecodeSlowDump(std::string_view data) {
       }
     }
     HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&event_count));
-    if (event_count > dec.remaining() / 32) {
-      return Status::Corruption("slow dump: truncated event section");
-    }
-    cap.events.reserve(static_cast<size_t>(event_count));
-    for (uint64_t e = 0; e < event_count; ++e) {
-      FlightEvent ev;
-      uint64_t meta = 0;
-      HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&ev.ts_ns));
-      HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&meta));
-      HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&ev.a));
-      HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&ev.b));
-      ev.type = static_cast<uint8_t>(meta & 0xff);
-      ev.stage = static_cast<uint8_t>((meta >> 8) & 0xff);
-      ev.code = static_cast<uint16_t>((meta >> 16) & 0xffff);
-      ev.session = static_cast<uint16_t>((meta >> 32) & 0xffff);
-      ev.thread = static_cast<uint16_t>(meta >> 48);
-      cap.events.push_back(ev);
-    }
+    HDOV_RETURN_IF_ERROR(
+        DecodeFlightEvents(&dec, event_count, "slow dump", &cap.events));
     dump.captures.push_back(std::move(cap));
   }
   if (dec.remaining() != 0) {
@@ -309,73 +242,35 @@ Result<SlowDump> DecodeSlowDump(std::string_view data) {
 }
 
 std::string SlowDumpChromeTraceJson(const SlowDump& dump) {
-  constexpr int kSlowPid = 4;  // Pids 1-3 belong to the other exporters.
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("displayTimeUnit").String("ms");
-  w.Key("traceEvents").BeginArray();
-  w.BeginObject();
-  w.Key("name").String("process_name");
-  w.Key("ph").String("M");
-  w.Key("pid").Number(static_cast<uint64_t>(kSlowPid));
-  w.Key("args").BeginObject();
-  w.Key("name").String("slow-frame captures (wall time)");
-  w.EndObject();
-  w.EndObject();
+  ChromeTraceWriter trace;
+  trace.ProcessName(kChromePidSlow, "slow-frame captures (wall time)");
   // One track (tid) per session, labeled with the session name.
-  std::vector<uint16_t> sessions;
+  std::set<uint16_t> sessions;
   for (const SlowFrameEntry& cap : dump.captures) {
-    if (std::find(sessions.begin(), sessions.end(), cap.record.session) ==
-        sessions.end()) {
-      sessions.push_back(cap.record.session);
-    }
+    sessions.insert(cap.record.session);
   }
-  std::sort(sessions.begin(), sessions.end());
   for (uint16_t session : sessions) {
-    w.BeginObject();
-    w.Key("name").String("thread_name");
-    w.Key("ph").String("M");
-    w.Key("pid").Number(static_cast<uint64_t>(kSlowPid));
-    w.Key("tid").Number(static_cast<uint64_t>(session));
-    w.Key("args").BeginObject();
-    w.Key("name").String(dump.NameOf(session));
-    w.EndObject();
-    w.EndObject();
+    trace.ThreadName(kChromePidSlow, session, dump.NameOf(session));
   }
-  const auto slice = [&](uint16_t session, std::string_view name,
-                         std::string_view cat, uint64_t start_ns,
-                         uint64_t dur_ns, const SlowFrameEntry* cap) {
-    w.BeginObject();
-    w.Key("name").String(name);
-    w.Key("cat").String(cat);
-    w.Key("ph").String("X");
-    w.Key("pid").Number(static_cast<uint64_t>(kSlowPid));
-    w.Key("tid").Number(static_cast<uint64_t>(session));
-    w.Key("ts").Number(static_cast<double>(start_ns) / 1000.0);
-    w.Key("dur").Number(static_cast<double>(dur_ns) / 1000.0);
-    if (cap != nullptr) {
-      w.Key("args").BeginObject();
-      w.Key("frame").Number(cap->record.frame);
-      w.Key("queue_ms")
-          .Number(static_cast<double>(cap->record.queue_ns) / 1e6);
-      w.Key("service_ms")
-          .Number(static_cast<double>(cap->record.wall_ns) / 1e6);
-      w.Key("io_pages").Number(cap->record.io_pages);
-      w.Key("trip_threshold_ms").Number(cap->trip_threshold_ms);
-      w.EndObject();
-    }
-    w.EndObject();
-  };
+  const auto us = [](uint64_t ns) { return static_cast<double>(ns) / 1000.0; };
   for (const SlowFrameEntry& cap : dump.captures) {
     const FrameStageRecord& r = cap.record;
-    std::string frame_name = "frame ";
-    frame_name += std::to_string(r.frame);
-    frame_name += " (slow)";
     if (r.queue_ns > 0 && r.start_ns >= r.queue_ns) {
-      slice(r.session, "queue wait", "queue", r.start_ns - r.queue_ns,
-            r.queue_ns, nullptr);
+      trace.Complete("queue wait", "queue", kChromePidSlow, r.session,
+                     us(r.start_ns - r.queue_ns), us(r.queue_ns));
     }
-    slice(r.session, frame_name, "frame", r.start_ns, r.wall_ns, &cap);
+    trace.Complete("frame " + std::to_string(r.frame) + " (slow)", "frame",
+                   kChromePidSlow, r.session, us(r.start_ns), us(r.wall_ns),
+                   [&](JsonWriter& args) {
+                     args.Key("frame").Number(r.frame);
+                     args.Key("queue_ms")
+                         .Number(static_cast<double>(r.queue_ns) / 1e6);
+                     args.Key("service_ms")
+                         .Number(static_cast<double>(r.wall_ns) / 1e6);
+                     args.Key("io_pages").Number(r.io_pages);
+                     args.Key("trip_threshold_ms")
+                         .Number(cap.trip_threshold_ms);
+                   });
     // Stage breakdown as child slices laid end to end in stage order —
     // an aggregate view, not the true interleaving (see header).
     uint64_t cursor = r.start_ns;
@@ -384,8 +279,8 @@ std::string SlowDumpChromeTraceJson(const SlowDump& dump) {
       if (ns == 0) {
         continue;
       }
-      slice(r.session, TraceStageName(static_cast<TraceStage>(s)), "stage",
-            cursor, ns, nullptr);
+      trace.Complete(TraceStageName(static_cast<TraceStage>(s)), "stage",
+                     kChromePidSlow, r.session, us(cursor), us(ns));
       cursor += ns;
     }
     for (const FlightEvent& ev : cap.events) {
@@ -396,26 +291,17 @@ std::string SlowDumpChromeTraceJson(const SlowDump& dump) {
           type != FlightEventType::kPoolMiss) {
         continue;
       }
-      w.BeginObject();
-      w.Key("name").String(dump.NameOf(ev.code));
-      w.Key("cat").String("io");
-      w.Key("ph").String("i");
-      w.Key("s").String("t");
-      w.Key("pid").Number(static_cast<uint64_t>(kSlowPid));
-      w.Key("tid").Number(static_cast<uint64_t>(ev.session));
-      w.Key("ts").Number(static_cast<double>(ev.ts_ns) / 1000.0);
-      w.Key("args").BeginObject();
-      w.Key("type").String(FlightEventTypeName(type));
-      w.Key("stage").String(TraceStageName(static_cast<TraceStage>(ev.stage)));
-      w.Key("a").Number(ev.a);
-      w.Key("b").Number(ev.b);
-      w.EndObject();
-      w.EndObject();
+      trace.Event("i", dump.NameOf(ev.code), "io", kChromePidSlow,
+                  ev.session, us(ev.ts_ns), [&](JsonWriter& args) {
+                    args.Key("type").String(FlightEventTypeName(type));
+                    args.Key("stage").String(
+                        TraceStageName(static_cast<TraceStage>(ev.stage)));
+                    args.Key("a").Number(ev.a);
+                    args.Key("b").Number(ev.b);
+                  });
     }
   }
-  w.EndArray();
-  w.EndObject();
-  return w.TakeString();
+  return trace.Finish();
 }
 
 }  // namespace hdov::telemetry

@@ -120,11 +120,11 @@ SlowFrameCapture& GlobalSlowFrameCapture();
 std::string EncodeSlowDump(const SlowDump& dump);
 Result<SlowDump> DecodeSlowDump(std::string_view data);
 
-// Chrome trace-event conversion under pid 4: one tid (track) per
-// session, named after it. Each capture renders the queue wait and the
-// frame as "X" slices, the stage breakdown as child slices laid end to
-// end in stage order (an approximation: real stage intervals may
-// interleave), and the captured io/pool flight events as instants at
+// Chrome trace-event conversion (pid table in docs/telemetry.md): one tid
+// (track) per session, named after it. Each capture renders the queue
+// wait and the frame as "X" slices, the stage breakdown as child slices
+// laid end to end in stage order (an approximation: real stage intervals
+// may interleave), and the captured io/pool flight events as instants at
 // their true timestamps.
 std::string SlowDumpChromeTraceJson(const SlowDump& dump);
 

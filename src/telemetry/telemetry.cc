@@ -1,8 +1,8 @@
 #include "telemetry/telemetry.h"
 
 #include <algorithm>
-#include <fstream>
 
+#include "common/file_io.h"
 #include "telemetry/json.h"
 
 namespace hdov::telemetry {
@@ -88,72 +88,14 @@ std::string Telemetry::MetricsTable() const {
   return metrics_.Snapshot().ToTable();
 }
 
-namespace {
-
-Status WriteStringToFile(const std::string& json, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("telemetry: cannot open " + path);
-  }
-  out.write(json.data(), static_cast<std::streamsize>(json.size()));
-  out.put('\n');
-  if (!out) {
-    return Status::IoError("telemetry: write to " + path + " failed");
-  }
-  return Status::OK();
-}
-
-// One complete ("ph":"X") trace event; callers fill args inside `fill`.
-template <typename Fn>
-void WriteTraceEvent(JsonWriter* w, std::string_view name,
-                     std::string_view cat, int pid, int tid, double ts_us,
-                     double dur_us, Fn fill_args) {
-  w->BeginObject();
-  w->Key("name").String(name);
-  w->Key("cat").String(cat);
-  w->Key("ph").String("X");
-  w->Key("pid").Number(static_cast<uint64_t>(pid));
-  w->Key("tid").Number(static_cast<uint64_t>(tid));
-  w->Key("ts").Number(ts_us);
-  w->Key("dur").Number(dur_us);
-  w->Key("args").BeginObject();
-  fill_args(w);
-  w->EndObject();
-  w->EndObject();
-}
-
-void WriteMetadataEvent(JsonWriter* w, std::string_view kind, int pid,
-                        int tid, std::string_view value) {
-  w->BeginObject();
-  w->Key("name").String(kind);
-  w->Key("ph").String("M");
-  w->Key("pid").Number(static_cast<uint64_t>(pid));
-  if (tid >= 0) {
-    w->Key("tid").Number(static_cast<uint64_t>(tid));
-  }
-  w->Key("args").BeginObject();
-  w->Key("name").String(value);
-  w->EndObject();
-  w->EndObject();
-}
-
-}  // namespace
-
 Status Telemetry::WriteJsonFile(const std::string& path) const {
-  return WriteStringToFile(SnapshotJson(), path);
+  return WriteStringToFile(path, SnapshotJson() + '\n');
 }
 
 std::string Telemetry::ChromeTraceJson() const {
-  constexpr int kFramePid = 1;  // Frame timeline, simulated clock.
-  constexpr int kSpanPid = 2;   // Search-trace spans, logical clock.
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("displayTimeUnit").String("ms");
-  w.Key("traceEvents").BeginArray();
-  WriteMetadataEvent(&w, "process_name", kFramePid, -1,
-                     "frames (simulated time)");
-  WriteMetadataEvent(&w, "process_name", kSpanPid, -1,
-                     "search trace (logical time)");
+  ChromeTraceWriter trace;
+  trace.ProcessName(kChromePidFrames, "frames (simulated time)");
+  trace.ProcessName(kChromePidSpans, "search trace (logical time)");
 
   // Frame timeline: one track (tid) per emitting system in order of
   // first appearance, ts accumulating the simulated per-frame time.
@@ -169,41 +111,35 @@ std::string Telemetry::ChromeTraceJson() const {
         break;
       }
     }
-    const int tid = static_cast<int>(t) + 1;
+    const uint64_t tid = t + 1;
     if (t == tracks.size()) {
       tracks.push_back(Track{f.system, 0.0});
-      WriteMetadataEvent(&w, "thread_name", kFramePid, tid, f.system);
+      trace.ThreadName(kChromePidFrames, tid, f.system);
     }
     const double dur_us =
         (f.frame_time_ms > 0.0 ? f.frame_time_ms : f.query_time_ms) * 1000.0;
-    WriteTraceEvent(
-        &w, f.kind, "frame", kFramePid, tid, tracks[t].cursor_us, dur_us,
-        [&f](JsonWriter* args) {
-          if (!f.context.empty()) {
-            args->Key("context").String(f.context);
-          }
-          args->Key("cell").Number(f.cell);
-          args->Key("io_pages").Number(f.io_pages);
-          args->Key("nodes_visited").Number(f.nodes_visited);
-          args->Key("vpages_fetched").Number(f.vpages_fetched);
-          args->Key("rendered_triangles").Number(f.rendered_triangles);
-          args->Key("models_fetched").Number(f.models_fetched);
-          args->Key("cache_hit_rate").Number(f.cache_hit_rate);
-          if (f.fidelity >= 0.0) {
-            args->Key("fidelity").Number(f.fidelity);
-          }
-        });
+    trace.Complete(f.kind, "frame", kChromePidFrames, tid,
+                   tracks[t].cursor_us, dur_us, [&f](JsonWriter& args) {
+                     if (!f.context.empty()) {
+                       args.Key("context").String(f.context);
+                     }
+                     args.Key("cell").Number(f.cell);
+                     args.Key("io_pages").Number(f.io_pages);
+                     args.Key("nodes_visited").Number(f.nodes_visited);
+                     args.Key("vpages_fetched").Number(f.vpages_fetched);
+                     args.Key("rendered_triangles")
+                         .Number(f.rendered_triangles);
+                     args.Key("models_fetched").Number(f.models_fetched);
+                     args.Key("cache_hit_rate").Number(f.cache_hit_rate);
+                     if (f.fidelity >= 0.0) {
+                       args.Key("fidelity").Number(f.fidelity);
+                     }
+                   });
     // A sibling counter track so I/O pressure plots over the timeline.
-    w.BeginObject();
-    w.Key("name").String(tracks[t].system + " io_pages");
-    w.Key("ph").String("C");
-    w.Key("pid").Number(static_cast<uint64_t>(kFramePid));
-    w.Key("tid").Number(static_cast<uint64_t>(tid));
-    w.Key("ts").Number(tracks[t].cursor_us);
-    w.Key("args").BeginObject();
-    w.Key("pages").Number(f.io_pages);
-    w.EndObject();
-    w.EndObject();
+    trace.Event("C", tracks[t].system + " io_pages", {}, kChromePidFrames,
+                tid, tracks[t].cursor_us, [&f](JsonWriter& args) {
+                  args.Key("pages").Number(f.io_pages);
+                });
     tracks[t].cursor_us += dur_us;
   }
 
@@ -224,25 +160,22 @@ std::string Telemetry::ChromeTraceJson() const {
   }
   for (size_t i = 0; i < n; ++i) {
     const TraceSpan& s = tracer_.span(i);
-    WriteTraceEvent(&w, s.name, "span", kSpanPid, 1,
-                    static_cast<double>(i),
-                    static_cast<double>(end[i] - i),
-                    [&s](JsonWriter* args) {
-                      for (const auto& [key, value] : s.num_attrs) {
-                        args->Key(key).Number(value);
-                      }
-                      for (const auto& [key, value] : s.str_attrs) {
-                        args->Key(key).String(value);
-                      }
-                    });
+    trace.Complete(s.name, "span", kChromePidSpans, 1,
+                   static_cast<double>(i), static_cast<double>(end[i] - i),
+                   [&s](JsonWriter& args) {
+                     for (const auto& [key, value] : s.num_attrs) {
+                       args.Key(key).Number(value);
+                     }
+                     for (const auto& [key, value] : s.str_attrs) {
+                       args.Key(key).String(value);
+                     }
+                   });
   }
-  w.EndArray();
-  w.EndObject();
-  return w.TakeString();
+  return trace.Finish();
 }
 
 Status Telemetry::WriteChromeTrace(const std::string& path) const {
-  return WriteStringToFile(ChromeTraceJson(), path);
+  return WriteStringToFile(path, ChromeTraceJson() + '\n');
 }
 
 void Telemetry::Reset() {

@@ -114,11 +114,11 @@ class Telemetry {
 
   Status WriteJsonFile(const std::string& path) const;
 
-  // Chrome trace-event (catapult) export: the recorded span forest and
-  // the frame timeline as one {"traceEvents": [...]} document that loads
-  // directly in chrome://tracing or ui.perfetto.dev. Frame events run on
-  // the *simulated* clock (one track per system, ts accumulating each
-  // frame's simulated time); span events have no clock at all (the
+  // Chrome trace-event (catapult) export (pid table in docs/telemetry.md):
+  // the recorded span forest and the frame timeline as one document that
+  // loads directly in chrome://tracing or ui.perfetto.dev. Frame events
+  // run on the *simulated* clock (one track per system, ts accumulating
+  // each frame's simulated time); span events have no clock at all (the
   // search is simulated), so they use logical time — ts = preorder
   // index, dur = subtree span count — preserving exact nesting.
   std::string ChromeTraceJson() const;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -11,6 +12,7 @@
 
 #include "common/coding.h"
 #include "common/crc32c.h"
+#include "largest_alloc.h"
 #include "persist/snapshot.h"
 #include "persist/world_codec.h"
 #include "storage/file_device.h"
@@ -22,6 +24,12 @@ namespace hdov {
 namespace {
 
 namespace fs = std::filesystem;
+
+uint64_t Fixed64At(const std::string& bytes, size_t at) {
+  uint64_t value = 0;
+  std::memcpy(&value, bytes.data() + at, sizeof(value));
+  return value;
+}
 
 // ---------------------------------------------------------------- crc32c
 
@@ -182,6 +190,74 @@ TEST(FilePageDeviceTest, CorruptedPageFailsChecksum) {
   std::remove(path.c_str());
 }
 
+TEST(FilePageDeviceTest, InflatedPageTableIsCorruptionWithoutAllocating) {
+  const std::string path = TempPath("hdov_file_device_table.bin");
+  {
+    auto device = FilePageDevice::Create(path);
+    ASSERT_TRUE(device.ok());
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE((*device)->Write((*device)->Allocate(), "page").ok());
+    }
+    ASSERT_TRUE((*device)->Sync().ok());
+  }
+  const uint64_t size = fs::file_size(path);
+  std::string file(size, '\0');
+  {
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.read(file.data(), file.size()).good());
+  }
+  // Header: magic, version, page size, reserved (16 bytes), page count,
+  // materialized count, table offset and length (8 each), the table CRC,
+  // then its own CRC over the 52 bytes before it. Both CRCs are recomputed
+  // for every mutant, so that the bounds checks are what must reject it.
+  const uint64_t table_offset = Fixed64At(file, 32);
+  const uint64_t table_length = Fixed64At(file, 40);
+  auto rewrite = [&](uint64_t count, uint64_t offset, uint64_t length) {
+    std::string header = file.substr(0, 56);
+    std::string fields;
+    EncodeFixed64(&fields, count);
+    header.replace(16, 8, fields);
+    fields.clear();
+    EncodeFixed64(&fields, offset);
+    EncodeFixed64(&fields, length);
+    header.replace(32, 16, fields);
+    if (offset <= size && length <= size - offset) {
+      std::string crc;
+      EncodeFixed32(&crc,
+                    Crc32c(std::string_view(file).substr(offset, length)));
+      header.replace(48, 4, crc);
+    }
+    std::string crc;
+    EncodeFixed32(&crc, Crc32c(std::string_view(header.data(), 52)));
+    header.replace(52, 4, crc);
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.write(header.data(), header.size()).good());
+  };
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  struct Mutant {
+    uint64_t count, offset, length;
+  };
+  for (const Mutant& m : std::vector<Mutant>{
+           // 13 * count wraps to 10: a 10-byte table matched the count.
+           {(kMax - 2) / 13 + 1, table_offset, 10},
+           // Consistent, but a table far larger than the file.
+           {uint64_t{1} << 40, table_offset, (uint64_t{1} << 40) * 13},
+           // table offset + length wraps.
+           {2, kMax - 3, table_length},
+           // One byte past the end.
+           {2, size - table_length + 1, table_length}}) {
+    rewrite(m.count, m.offset, m.length);
+    largest_new = 0;
+    const Status status = FilePageDevice::Open(path).status();
+    const size_t largest = largest_new;
+    EXPECT_TRUE(status.IsCorruption())
+        << m.count << " " << m.offset << " " << m.length << ": "
+        << status.ToString();
+    EXPECT_LT(largest, size_t{1} << 20) << m.count;
+  }
+  std::remove(path.c_str());
+}
+
 // -------------------------------------------------------------- snapshot
 
 TEST(SnapshotTest, BlobRoundTripAndAtomicCommit) {
@@ -285,6 +361,65 @@ TEST(SnapshotTest, CatalogPastTheEndIsCorruption) {
            {kMax - 3, 16},       // offset + length wraps.
            {size - 8, 9},        // One byte past the end.
            {size + 1, 0}}) {
+    rewrite(offset, length);
+    const Status status = SnapshotLoader::Open(path).status();
+    EXPECT_TRUE(status.IsCorruption())
+        << offset << " + " << length << ": " << status.ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, SectionPastTheEndIsCorruption) {
+  const std::string path = TempPath("hdov_snapshot_section.hdov");
+  {
+    auto writer = SnapshotWriter::Create(path);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->AddBlob("alpha", "payload").ok());
+    ASSERT_TRUE((*writer)->Commit().ok());
+  }
+  std::string superblock(48, '\0');
+  {
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.read(superblock.data(), superblock.size()).good());
+  }
+  // The catalog: section count, then per section the name length and
+  // name, the kind byte, offset and length (8 each) and the section CRC.
+  // The catalog CRC (superblock byte 40) and the superblock CRC (byte 44)
+  // are recomputed for every mutant.
+  const uint64_t catalog_offset = Fixed64At(superblock, 24);
+  const uint64_t catalog_length = Fixed64At(superblock, 32);
+  std::string catalog(catalog_length, '\0');
+  {
+    std::ifstream in(path, std::ios::binary);
+    in.seekg(static_cast<std::streamoff>(catalog_offset));
+    ASSERT_TRUE(in.read(catalog.data(), catalog.size()).good());
+  }
+  constexpr size_t kEntryExtent = 4 + 4 + 5 + 1;  // "alpha" + kind byte.
+  auto rewrite = [&](uint64_t offset, uint64_t length) {
+    std::string fields;
+    EncodeFixed64(&fields, offset);
+    EncodeFixed64(&fields, length);
+    std::string mutated = catalog;
+    mutated.replace(kEntryExtent, 16, fields);
+    std::string sb = superblock;
+    std::string crc;
+    EncodeFixed32(&crc, Crc32c(mutated));
+    sb.replace(40, 4, crc);
+    crc.clear();
+    EncodeFixed32(&crc, Crc32c(std::string_view(sb.data(), 44)));
+    sb.replace(44, 4, crc);
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.write(sb.data(), sb.size()).good());
+    f.seekp(static_cast<std::streamoff>(catalog_offset));
+    ASSERT_TRUE(f.write(mutated.data(), mutated.size()).good());
+  };
+  const uint64_t size = fs::file_size(path);
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  for (const auto& [offset, length] :
+       std::vector<std::pair<uint64_t, uint64_t>>{
+           {4096, uint64_t{1} << 62},  // ReadBlob would allocate 2^62 bytes.
+           {kMax - 3, 16},             // offset + length wraps.
+           {4096, size - 4096 + 1}}) { // One byte past the end.
     rewrite(offset, length);
     const Status status = SnapshotLoader::Open(path).status();
     EXPECT_TRUE(status.IsCorruption())

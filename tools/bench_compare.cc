@@ -23,10 +23,9 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
+#include "common/file_io.h"
 #include "telemetry/bench_report.h"
 #include "telemetry/json.h"
 
@@ -43,13 +42,8 @@ int Usage() {
 }
 
 Result<JsonValue> LoadReport(const char* path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError(std::string("cannot open ") + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  Result<JsonValue> doc = ParseJson(buffer.str());
+  HDOV_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
+  Result<JsonValue> doc = ParseJson(text);
   if (!doc.ok()) {
     return Status::InvalidArgument(std::string(path) + ": " +
                                    doc.status().ToString());

@@ -19,9 +19,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
+#include "common/file_io.h"
 #include "persist/snapshot.h"
 #include "telemetry/bench_report.h"
 #include "telemetry/exposition.h"
@@ -75,16 +75,7 @@ Status EmitMetricsJson(const telemetry::MetricsSnapshot& view,
   std::string doc = "{\"version\":1,\"metrics\":";
   doc.append(view.ToJson());
   doc.append(",\"frames_recorded\":0,\"frames_dropped\":0,\"frames\":[]}");
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("cannot open " + path);
-  }
-  out << doc;
-  out.flush();
-  if (!out) {
-    return Status::IoError("write failed: " + path);
-  }
-  return Status::OK();
+  return WriteStringToFile(path, doc);
 }
 
 BuildArgs Parse(int argc, char** argv) {

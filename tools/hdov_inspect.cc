@@ -31,13 +31,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/file_io.h"
 #include "hdov/builder.h"
 #include "hdov/hdov_tree.h"
 #include "persist/snapshot.h"
@@ -321,6 +320,107 @@ int InspectDb(const InspectArgs& args) {
   return 0;
 }
 
+// Per-event rollup behind the per-source, per-session and slow-window
+// views.
+struct EventRollup {
+  uint64_t events = 0;
+  uint64_t pages_read = 0;
+  uint64_t pool_hits = 0;
+  uint64_t pool_misses = 0;
+  uint64_t frames = 0;
+  uint64_t io_pages = 0;
+  uint64_t spans = 0;
+  // Async prefetch pipeline accounting (docs/prefetch.md). Issued = page
+  // reads billed during speculation (kPageRead stamped with the prefetch
+  // stage), used/cancelled from their dedicated event types.
+  uint64_t prefetch_issued = 0;
+  uint64_t prefetch_used = 0;
+  uint64_t prefetch_cancelled = 0;
+
+  void Add(const telemetry::FlightEvent& e) {
+    events += 1;
+    switch (static_cast<telemetry::FlightEventType>(e.type)) {
+      case telemetry::FlightEventType::kPageRead:
+        pages_read += e.b;
+        if (e.stage ==
+            static_cast<uint8_t>(telemetry::TraceStage::kPrefetch)) {
+          prefetch_issued += e.b;
+        }
+        break;
+      case telemetry::FlightEventType::kPrefetchUsed:
+        prefetch_used += e.b;
+        break;
+      case telemetry::FlightEventType::kPrefetchCancel:
+        prefetch_cancelled += e.a;
+        break;
+      case telemetry::FlightEventType::kPoolHit:
+        pool_hits += 1;
+        break;
+      case telemetry::FlightEventType::kPoolMiss:
+        pool_misses += 1;
+        break;
+      case telemetry::FlightEventType::kFrameEnd:
+        frames += 1;
+        io_pages += e.b;
+        break;
+      case telemetry::FlightEventType::kSpanBegin:
+        spans += 1;
+        break;
+      default:
+        break;
+    }
+  }
+
+  bool any_prefetch() const {
+    return prefetch_issued != 0 || prefetch_used != 0 ||
+           prefetch_cancelled != 0;
+  }
+};
+
+// Prints " <type>=<count>" for every event type counted.
+void PrintTypeCounts(const std::map<uint16_t, uint64_t>& by_type) {
+  for (const auto& [type, count] : by_type) {
+    std::printf(" %s=%llu",
+                std::string(telemetry::FlightEventTypeName(
+                                static_cast<telemetry::FlightEventType>(
+                                    type)))
+                    .c_str(),
+                static_cast<unsigned long long>(count));
+  }
+}
+
+// One table row per key; the spans column is optional.
+void PrintRollups(const char* title, const char* key,
+                  const std::map<std::string, EventRollup>& rollups,
+                  bool spans) {
+  std::printf("%s rollup:\n", title);
+  std::printf("  %-24s %10s %10s %10s %10s %8s %10s%s\n", key, "events",
+              "pages_read", "pool_hits", "pool_miss", "frames", "io_pages",
+              spans ? "    spans" : "");
+  for (const auto& [name, roll] : rollups) {
+    std::printf("  %-24s %10llu %10llu %10llu %10llu %8llu %10llu",
+                name.c_str(), static_cast<unsigned long long>(roll.events),
+                static_cast<unsigned long long>(roll.pages_read),
+                static_cast<unsigned long long>(roll.pool_hits),
+                static_cast<unsigned long long>(roll.pool_misses),
+                static_cast<unsigned long long>(roll.frames),
+                static_cast<unsigned long long>(roll.io_pages));
+    if (spans) {
+      std::printf(" %8llu", static_cast<unsigned long long>(roll.spans));
+    }
+    std::printf("\n");
+  }
+}
+
+// Writes a --chrome-out file; false (after reporting) on failure.
+bool WriteChromeOut(const std::string& path, const std::string& json) {
+  if (Status s = WriteStringToFile(path, json); !s.ok()) {
+    std::fprintf(stderr, "hdov_inspect: %s\n", s.ToString().c_str());
+    return false;
+  }
+  return true;
+}
+
 int InspectFlight(const InspectArgs& args) {
   Result<telemetry::FlightDump> read =
       telemetry::FlightRecorder::ReadDump(args.flight);
@@ -348,28 +448,11 @@ int InspectFlight(const InspectArgs& args) {
                 telemetry::kMaxFlightNames);
   }
 
-  // Per-type counts.
   std::map<uint16_t, uint64_t> by_type;
-  // Per-source rollup: events, pages read, frames, frame io_pages.
-  struct SourceRollup {
-    uint64_t events = 0;
-    uint64_t pages_read = 0;
-    uint64_t pool_hits = 0;
-    uint64_t pool_misses = 0;
-    uint64_t frames = 0;
-    uint64_t io_pages = 0;
-    uint64_t spans = 0;
-    // Async prefetch pipeline accounting (docs/prefetch.md). Issued =
-    // page reads billed during speculation (kPageRead stamped with the
-    // prefetch stage), used/cancelled from their dedicated event types.
-    uint64_t prefetch_issued = 0;
-    uint64_t prefetch_used = 0;
-    uint64_t prefetch_cancelled = 0;
-  };
-  std::map<std::string, SourceRollup> by_source;
+  std::map<std::string, EventRollup> by_source;
   std::map<uint32_t, uint64_t> by_thread;
   // Attribution rollups (v2 dumps; v1 events land on "<unattributed>").
-  std::map<std::string, SourceRollup> by_session;
+  std::map<std::string, EventRollup> by_session;
   uint64_t by_stage[telemetry::kNumTraceStages] = {};
   for (const telemetry::FlightEvent& e : dump.events) {
     by_type[e.type] += 1;
@@ -377,131 +460,32 @@ int InspectFlight(const InspectArgs& args) {
     if (e.stage < telemetry::kNumTraceStages) {
       by_stage[e.stage] += 1;
     }
-    const std::string session_key =
-        e.session != 0 && e.session < dump.names.size()
-            ? dump.names[e.session]
-            : std::string("<unattributed>");
-    SourceRollup& sess = by_session[session_key];
-    sess.events += 1;
-    switch (static_cast<telemetry::FlightEventType>(e.type)) {
-      case telemetry::FlightEventType::kPageRead:
-        sess.pages_read += e.b;
-        if (e.stage ==
-            static_cast<uint8_t>(telemetry::TraceStage::kPrefetch)) {
-          sess.prefetch_issued += e.b;
-        }
-        break;
-      case telemetry::FlightEventType::kPrefetchUsed:
-        sess.prefetch_used += e.b;
-        break;
-      case telemetry::FlightEventType::kPrefetchCancel:
-        sess.prefetch_cancelled += e.a;
-        break;
-      case telemetry::FlightEventType::kPoolHit:
-        sess.pool_hits += 1;
-        break;
-      case telemetry::FlightEventType::kPoolMiss:
-        sess.pool_misses += 1;
-        break;
-      case telemetry::FlightEventType::kFrameEnd:
-        sess.frames += 1;
-        sess.io_pages += e.b;
-        break;
-      case telemetry::FlightEventType::kSpanBegin:
-        sess.spans += 1;
-        break;
-      default:
-        break;
-    }
-    SourceRollup& roll = by_source[std::string(dump.NameOf(e))];
-    roll.events += 1;
-    switch (static_cast<telemetry::FlightEventType>(e.type)) {
-      case telemetry::FlightEventType::kPageRead:
-        roll.pages_read += e.b;
-        if (e.stage ==
-            static_cast<uint8_t>(telemetry::TraceStage::kPrefetch)) {
-          roll.prefetch_issued += e.b;
-        }
-        break;
-      case telemetry::FlightEventType::kPrefetchUsed:
-        roll.prefetch_used += e.b;
-        break;
-      case telemetry::FlightEventType::kPrefetchCancel:
-        roll.prefetch_cancelled += e.a;
-        break;
-      case telemetry::FlightEventType::kPoolHit:
-        roll.pool_hits += 1;
-        break;
-      case telemetry::FlightEventType::kPoolMiss:
-        roll.pool_misses += 1;
-        break;
-      case telemetry::FlightEventType::kFrameEnd:
-        roll.frames += 1;
-        roll.io_pages += e.b;
-        break;
-      case telemetry::FlightEventType::kSpanBegin:
-        roll.spans += 1;
-        break;
-      default:
-        break;
-    }
+    by_session[e.session != 0 && e.session < dump.names.size()
+                   ? dump.names[e.session]
+                   : std::string("<unattributed>")]
+        .Add(e);
+    by_source[std::string(dump.NameOf(e))].Add(e);
   }
   std::printf("events by type:");
-  for (const auto& [type, count] : by_type) {
-    std::printf(" %s=%llu",
-                std::string(telemetry::FlightEventTypeName(
-                                static_cast<telemetry::FlightEventType>(
-                                    type)))
-                    .c_str(),
-                static_cast<unsigned long long>(count));
-  }
+  PrintTypeCounts(by_type);
   std::printf("\nevents by thread:");
   for (const auto& [thread, count] : by_thread) {
     std::printf(" t%u=%llu", thread,
                 static_cast<unsigned long long>(count));
   }
-  std::printf("\nper-source rollup:\n");
-  std::printf("  %-24s %10s %10s %10s %10s %8s %10s %8s\n", "source",
-              "events", "pages_read", "pool_hits", "pool_miss", "frames",
-              "io_pages", "spans");
-  for (const auto& [name, roll] : by_source) {
-    std::printf("  %-24s %10llu %10llu %10llu %10llu %8llu %10llu"
-                " %8llu\n",
-                name.c_str(),
-                static_cast<unsigned long long>(roll.events),
-                static_cast<unsigned long long>(roll.pages_read),
-                static_cast<unsigned long long>(roll.pool_hits),
-                static_cast<unsigned long long>(roll.pool_misses),
-                static_cast<unsigned long long>(roll.frames),
-                static_cast<unsigned long long>(roll.io_pages),
-                static_cast<unsigned long long>(roll.spans));
-  }
-  std::printf("per-session rollup:\n");
-  std::printf("  %-24s %10s %10s %10s %10s %8s %10s\n", "session",
-              "events", "pages_read", "pool_hits", "pool_miss", "frames",
-              "io_pages");
-  for (const auto& [name, roll] : by_session) {
-    std::printf("  %-24s %10llu %10llu %10llu %10llu %8llu %10llu\n",
-                name.c_str(),
-                static_cast<unsigned long long>(roll.events),
-                static_cast<unsigned long long>(roll.pages_read),
-                static_cast<unsigned long long>(roll.pool_hits),
-                static_cast<unsigned long long>(roll.pool_misses),
-                static_cast<unsigned long long>(roll.frames),
-                static_cast<unsigned long long>(roll.io_pages));
-  }
+  std::printf("\n");
+  PrintRollups("per-source", "source", by_source, /*spans=*/true);
+  PrintRollups("per-session", "session", by_session, /*spans=*/false);
   bool any_prefetch = false;
   for (const auto& [name, roll] : by_session) {
-    any_prefetch = any_prefetch || roll.prefetch_issued != 0 ||
-                   roll.prefetch_used != 0 || roll.prefetch_cancelled != 0;
+    any_prefetch = any_prefetch || roll.any_prefetch();
   }
   if (any_prefetch) {
     std::printf("per-session prefetch rollup (pages):\n");
     std::printf("  %-24s %10s %10s %10s %8s\n", "session", "issued",
                 "used", "cancelled", "wasted");
     for (const auto& [name, roll] : by_session) {
-      if (roll.prefetch_issued == 0 && roll.prefetch_used == 0 &&
-          roll.prefetch_cancelled == 0) {
+      if (!roll.any_prefetch()) {
         continue;
       }
       const uint64_t used =
@@ -530,18 +514,8 @@ int InspectFlight(const InspectArgs& args) {
   std::printf("\n");
 
   if (!args.chrome_out.empty()) {
-    std::ofstream out(args.chrome_out,
-                      std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "hdov_inspect: cannot open %s\n",
-                   args.chrome_out.c_str());
-      return 1;
-    }
-    out << telemetry::FlightChromeTraceJson(dump);
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "hdov_inspect: write failed: %s\n",
-                   args.chrome_out.c_str());
+    if (!WriteChromeOut(args.chrome_out,
+                        telemetry::FlightChromeTraceJson(dump))) {
       return 1;
     }
     std::printf("chrome trace: wrote %s (open in chrome://tracing)\n",
@@ -587,62 +561,27 @@ int InspectSlowdump(const InspectArgs& args) {
     // The captured flight events of the frame's window, rolled up by
     // type (the full event list is in the Chrome trace conversion).
     std::map<uint16_t, uint64_t> by_type;
-    uint64_t prefetch_issued = 0;
-    uint64_t prefetch_used = 0;
-    uint64_t prefetch_cancelled = 0;
+    EventRollup window;
     for (const telemetry::FlightEvent& e : cap.events) {
       by_type[e.type] += 1;
-      switch (static_cast<telemetry::FlightEventType>(e.type)) {
-        case telemetry::FlightEventType::kPageRead:
-          if (e.stage ==
-              static_cast<uint8_t>(telemetry::TraceStage::kPrefetch)) {
-            prefetch_issued += e.b;
-          }
-          break;
-        case telemetry::FlightEventType::kPrefetchUsed:
-          prefetch_used += e.b;
-          break;
-        case telemetry::FlightEventType::kPrefetchCancel:
-          prefetch_cancelled += e.a;
-          break;
-        default:
-          break;
-      }
+      window.Add(e);
     }
     std::printf("\n  %zu flight events in window:", cap.events.size());
-    for (const auto& [type, count] : by_type) {
-      std::printf(" %s=%llu",
-                  std::string(telemetry::FlightEventTypeName(
-                                  static_cast<telemetry::FlightEventType>(
-                                      type)))
-                      .c_str(),
-                  static_cast<unsigned long long>(count));
-    }
+    PrintTypeCounts(by_type);
     std::printf("\n");
-    if (prefetch_issued != 0 || prefetch_used != 0 ||
-        prefetch_cancelled != 0) {
+    if (window.any_prefetch()) {
       std::printf("  prefetch in window: issued=%llu used=%llu"
                   " cancelled=%llu pages\n",
-                  static_cast<unsigned long long>(prefetch_issued),
-                  static_cast<unsigned long long>(prefetch_used),
-                  static_cast<unsigned long long>(prefetch_cancelled));
+                  static_cast<unsigned long long>(window.prefetch_issued),
+                  static_cast<unsigned long long>(window.prefetch_used),
+                  static_cast<unsigned long long>(window.prefetch_cancelled));
     }
   }
 
   // --chrome-out belongs to --flight when both inputs are given.
   if (!args.chrome_out.empty() && args.flight.empty()) {
-    std::ofstream out(args.chrome_out,
-                      std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "hdov_inspect: cannot open %s\n",
-                   args.chrome_out.c_str());
-      return 1;
-    }
-    out << telemetry::SlowDumpChromeTraceJson(dump);
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "hdov_inspect: write failed: %s\n",
-                   args.chrome_out.c_str());
+    if (!WriteChromeOut(args.chrome_out,
+                        telemetry::SlowDumpChromeTraceJson(dump))) {
       return 1;
     }
     std::printf("chrome trace: wrote %s (one track per session; open in"
@@ -653,16 +592,13 @@ int InspectSlowdump(const InspectArgs& args) {
 }
 
 int InspectTelemetry(const InspectArgs& args) {
-  std::ifstream in(args.telemetry, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "hdov_inspect: cannot open %s\n",
-                 args.telemetry.c_str());
+  Result<std::string> text = ReadFileToString(args.telemetry);
+  if (!text.ok()) {
+    std::fprintf(stderr, "hdov_inspect: %s\n",
+                 text.status().ToString().c_str());
     return 1;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  Result<telemetry::JsonValue> parsed =
-      telemetry::ParseJson(buffer.str());
+  Result<telemetry::JsonValue> parsed = telemetry::ParseJson(*text);
   if (!parsed.ok()) {
     std::fprintf(stderr, "hdov_inspect: %s: %s\n", args.telemetry.c_str(),
                  parsed.status().ToString().c_str());
