@@ -1,7 +1,7 @@
 // Component microbenchmarks (google-benchmark): CPU cost of the building
 // blocks, plus ablations DESIGN.md calls out — linear-split vs sorted
 // fallback pressure, cube-map resolution, sequential vs random page I/O,
-// Eq. 4 heuristic on/off, and buffer-pool hit behaviour.
+// and Eq. 4 heuristic on/off.
 
 #include <benchmark/benchmark.h>
 
@@ -19,7 +19,6 @@
 #include "scene/cell_grid.h"
 #include "scene/city_generator.h"
 #include "simplify/simplifier.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
 #include "telemetry/flight_recorder.h"
 #include "testbed/testbed_glue.h"
@@ -156,22 +155,6 @@ void BM_FlightRecorderOverhead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FlightRecorderOverhead)->Arg(1)->Arg(0);
-
-void BM_BufferPoolGet(benchmark::State& state) {
-  PageDevice device;
-  const uint64_t kPages = 1024;
-  for (uint64_t i = 0; i < kPages; ++i) {
-    device.Allocate();
-  }
-  BufferPool pool(&device, static_cast<size_t>(state.range(0)));
-  Rng rng(5);
-  for (auto _ : state) {
-    Result<BufferPool::PageRef> ref = pool.Get(rng.NextUint64(kPages));
-    benchmark::DoNotOptimize(ref.ok());
-  }
-  state.counters["hit_rate"] = pool.stats().HitRate();
-}
-BENCHMARK(BM_BufferPoolGet)->Arg(64)->Arg(512)->Arg(1024);
 
 // Thread scaling of the per-cell DoV precompute (the parallel build
 // path). Per-cell work is independent, so real time should drop

@@ -1,17 +1,17 @@
-// Persistence: build an HDoV-tree once, save the packed device image to a
-// real file, then reopen it in a fresh process state and query it —
-// the offline-precompute / online-walkthrough split the paper's system
-// implies (precomputation takes ~1 s per cell; you do it once).
+// Persistence: build a world once, write it to one snapshot file, then
+// reopen that file and query it — the offline-precompute /
+// online-walkthrough split the paper's system implies (precomputation
+// takes ~1 s per cell; you do it once). tools/hdov_build does the same at
+// benchmark scale; docs/FORMAT.md describes the file.
 //
-// Build & run:  ./build/examples/persistence [db_path]
+// Build & run:  ./build/examples/persistence [db_dir]
 
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
-#include "hdov/builder.h"
-#include "hdov/search.h"
-#include "scene/city_generator.h"
-#include "visibility/precompute.h"
+#include "walkthrough/experiment_testbed.h"
 
 using namespace hdov;  // Example code; library code never does this.
 
@@ -19,99 +19,70 @@ int main(int argc, char** argv) {
   const std::string path =
       (argc > 1 ? argv[1] : std::string("/tmp")) + "/hdov_city.db";
 
-  CityOptions city_options;
-  city_options.blocks_x = 6;
-  city_options.blocks_y = 6;
-  Result<Scene> scene = GenerateCity(city_options);
-  CellGridOptions grid_options;
-  grid_options.cells_x = 6;
-  grid_options.cells_y = 6;
-  if (!scene.ok()) {
-    return 1;
-  }
-  Result<CellGrid> grid = CellGrid::Build(scene->bounds(), grid_options);
-  PrecomputeOptions precompute_options;
-  precompute_options.dov.cubemap.face_resolution = 32;
-  Result<VisibilityTable> table =
-      PrecomputeVisibility(*scene, *grid, precompute_options);
-  if (!grid.ok() || !table.ok()) {
-    return 1;
-  }
+  TestbedOptions world_options;
+  world_options.blocks = 6;
+  world_options.cells = 6;
+  world_options.face_resolution = 32;
 
-  Extent manifest;
   {
-    // --- offline: build, pack, save ---
-    PageDevice device;
-    ModelStore models(&device);
-    HdovBuildOptions build_options;
-    build_options.rtree.max_entries = 8;
-    build_options.rtree.min_entries = 3;
-    build_options.bulk_load = true;
-    Result<HdovTree> tree = HdovBuilder::Build(*scene, &models,
-                                               build_options);
-    if (!tree.ok()) {
-      std::fprintf(stderr, "%s\n", tree.status().ToString().c_str());
+    // --- offline: build the world and write the snapshot ---
+    Result<Testbed> bed = BuildTestbed(world_options);
+    if (!bed.ok()) {
+      std::fprintf(stderr, "%s\n", bed.status().ToString().c_str());
       return 1;
     }
-    if (Status s = tree->Pack(&device); !s.ok()) {
-      return 1;
-    }
-    PagedFile file(&device);
-    Result<Extent> m = tree->WriteManifest(&file);
-    if (!m.ok()) {
-      std::fprintf(stderr, "%s\n", m.status().ToString().c_str());
-      return 1;
-    }
-    manifest = *m;
-    if (Status s = device.SaveToFile(path); !s.ok()) {
+    Status s = [&]() -> Status {
+      HDOV_ASSIGN_OR_RETURN(std::unique_ptr<SnapshotWriter> writer,
+                            SnapshotWriter::Create(path));
+      HDOV_RETURN_IF_ERROR(
+          WriteWorldSnapshot(writer.get(), *bed, DefaultVisualOptions()));
+      return writer->Commit();
+    }();
+    if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("offline build: %zu nodes over %s\nsaved image to %s\n\n",
-                tree->num_nodes(), scene->Summary().c_str(), path.c_str());
+    std::printf("offline build: %s | %u cells\nwrote snapshot %s\n\n",
+                bed->scene.Summary().c_str(), bed->grid.num_cells(),
+                path.c_str());
   }
 
-  // --- online: reopen and query ---
-  PageDevice device;
-  if (Status s = device.LoadFromFile(path); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+  // --- online: reopen the snapshot and query it from the file ---
+  Result<std::unique_ptr<SnapshotLoader>> snapshot =
+      SnapshotLoader::Open(path);
+  if (!snapshot.ok()) {
+    std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
     return 1;
   }
-  PagedFile file(&device);
-  Result<HdovTree> tree = HdovTree::LoadFrom(&device, &file, manifest);
-  if (!tree.ok()) {
-    std::fprintf(stderr, "reload: %s\n", tree.status().ToString().c_str());
+  Result<Testbed> world = LoadWorldSections(**snapshot);
+  if (!world.ok()) {
+    std::fprintf(stderr, "%s\n", world.status().ToString().c_str());
     return 1;
   }
-  std::printf("reloaded %zu nodes (invariants verified on load)\n",
-              tree->num_nodes());
+  Result<std::unique_ptr<VisualSystem>> system =
+      VisualSystem::CreateFromSnapshot(**snapshot, &world->scene,
+                                       &world->grid, DefaultVisualOptions(),
+                                       SnapshotLoadMode::kFileBacked);
+  if (!system.ok()) {
+    std::fprintf(stderr, "reload: %s\n", system.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("reloaded %zu objects and %u cells (every section checksummed)"
+              "\n",
+              world->scene.size(), world->grid.num_cells());
 
-  // Rebuild the runtime pieces over the restored tree and query it.
-  ModelStore models(&device);  // Model extents are re-registered in demos;
-  for (const Object& obj : scene->objects()) {  // a production DB would
-    for (size_t l = 0; l < obj.lods.num_levels(); ++l) {  // persist these
-      models.Register(obj.lods.level(l).byte_size);       // extents too.
-    }
-  }
-  PageDevice store_device;
-  Result<std::unique_ptr<VisibilityStore>> store = BuildStore(
-      StorageScheme::kIndexedVertical, *tree, *table, &store_device);
-  if (!store.ok()) {
-    return 1;
-  }
-  HdovSearcher searcher(&*tree, &*scene, &models, &device);
   std::vector<RetrievedLod> result;
-  SearchOptions search_options;
-  search_options.eta = 0.001;
-  Vec3 eye = scene->bounds().Center();
-  if (Status s = searcher.Search(store->get(),
-                                 grid->ClampedCellForPoint(eye),
-                                 search_options, &result);
+  SearchStats stats;
+  const Vec3 eye = world->scene.bounds().Center();
+  if (Status s = (*system)->Query(eye, /*fetch_models=*/false, &result,
+                                  &stats);
       !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("query from the restored tree: %zu representations\n",
-              result.size());
+  std::printf("query from the reopened world: %zu representations, "
+              "%llu tree nodes visited\n",
+              result.size(),
+              static_cast<unsigned long long>(stats.nodes_visited));
   return 0;
 }

@@ -159,18 +159,6 @@ Status HdovTree::EncodeManifest(std::string* out) const {
   return Status::OK();
 }
 
-Result<Extent> HdovTree::WriteManifest(PagedFile* file) const {
-  std::string out;
-  HDOV_RETURN_IF_ERROR(EncodeManifest(&out));
-  return file->Append(out);
-}
-
-Result<HdovTree> HdovTree::LoadFrom(PageDevice* device, PagedFile* file,
-                                    const Extent& manifest) {
-  HDOV_ASSIGN_OR_RETURN(std::string data, file->ReadExtent(manifest));
-  return FromManifest(device, data);
-}
-
 Result<HdovTree> HdovTree::FromManifest(PageDevice* device,
                                         std::string_view manifest) {
   Decoder decoder(manifest);

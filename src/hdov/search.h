@@ -19,7 +19,6 @@
 #include "hdov/hdov_tree.h"
 #include "hdov/visibility_store.h"
 #include "scene/object.h"
-#include "storage/buffer_pool.h"
 #include "storage/model_store.h"
 #include "telemetry/trace.h"
 
@@ -108,11 +107,6 @@ class HdovSearcher {
                 const SearchOptions& options, std::vector<RetrievedLod>* result,
                 SearchStats* stats = nullptr);
 
-  // Optional LRU pool in front of the tree-node page reads: pages hit in
-  // the pool cost no simulated I/O. Null (the default) reads straight from
-  // the tree device. The pool must wrap the same device.
-  void set_tree_cache(BufferPool* cache) { tree_cache_ = cache; }
-
  private:
   Status SearchNode(VisibilityStore* store, size_t node_index,
                     const SearchOptions& options,
@@ -122,7 +116,6 @@ class HdovSearcher {
   const Scene* scene_;
   const ModelStore* models_;
   PageDevice* tree_device_;
-  BufferPool* tree_cache_ = nullptr;
   double log_fanout_ = 1.0;
   // Several nodes share a page; re-reading the page just read is free
   // (it is still in the transfer buffer).

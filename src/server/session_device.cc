@@ -28,7 +28,7 @@ Status SessionDevice::ReadRun(PageId first, uint64_t count,
   if (count == 0) {
     return Status::OK();
   }
-  if (first + count > base_->page_count()) {
+  if (!RunInBounds(first, count, base_->page_count())) {
     return Status::OutOfRange("session device: run read past end");
   }
   BillRead(first, count);

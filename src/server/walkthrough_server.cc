@@ -8,7 +8,6 @@
 #include "hdov/builder.h"
 #include "persist/world_codec.h"
 #include "server/session_device.h"
-#include "telemetry/slow_frame.h"
 
 namespace hdov {
 
@@ -169,8 +168,6 @@ Result<ServerRunStats> WalkthroughServer::Play() {
     runners[i].frame_wall_ms.reserve(sessions_[i].frames.size());
     runners[i].frame_queue_wait_ms.reserve(sessions_[i].frames.size());
   }
-  telemetry::SlowFrameCapture& slow = telemetry::GlobalSlowFrameCapture();
-
   const BufferPoolStats store_cache0 =
       store_pool_ != nullptr ? store_pool_->TotalStats() : BufferPoolStats();
   const BufferPoolStats tree_cache0 =
@@ -227,25 +224,14 @@ Result<ServerRunStats> WalkthroughServer::Play() {
         Runner& r = runners[idx];
         const Viewpoint& vp = r.session->frames[r.next_frame];
         FrameResult frame;
-        Status status;
         telemetry::FrameStageRecord record;
-        record.start_ns = telemetry::FlightNowNs();  // Dispatch.
-        {
-          telemetry::SessionTraceScope trace(r.flight_code, r.next_frame);
-          telemetry::BeginStageAccounting();
-          status = r.system->RenderFrame(vp, &frame);
-          record.wall_ns = telemetry::FlightNowNs() - record.start_ns;
-          record.stages = telemetry::FinishStageAccounting();
-        }
+        const Status status =
+            MeasureFrame(r.system.get(), vp, r.flight_code, r.next_frame,
+                         enqueue_ns, &frame, &record);
         if (!status.ok()) {
           r.status = status;
           return;
         }
-        record.session = r.flight_code;
-        record.frame = r.next_frame;
-        record.queue_ns = record.start_ns - enqueue_ns;
-        record.io_pages = frame.io_pages;
-        slow.OnFrame(record);
         r.frame_wall_ms.push_back(record.wall_ns / 1e6);
         r.frame_queue_wait_ms.push_back(record.queue_ns / 1e6);
         for (size_t s = 0; s < telemetry::kNumTraceStages; ++s) {
@@ -297,14 +283,9 @@ void WalkthroughServer::RollupInto(const ServerRunStats& stats,
                                    telemetry::MetricsRegistry* registry,
                                    const std::string& prefix) {
   for (const ServerSessionRecord& record : stats.sessions) {
-    const SessionSummary& s = record.summary;
-    const std::string base = prefix + ".session." + s.session_name;
-    registry->GetGauge(base + ".avg_frame_time_ms")->Set(s.avg_frame_time_ms);
-    registry->GetGauge(base + ".var_frame_time")->Set(s.var_frame_time);
-    registry->GetGauge(base + ".avg_io_pages")->Set(s.avg_io_pages);
-    registry->GetGauge(base + ".cache_hit_rate")->Set(s.avg_cache_hit_rate);
-    registry->GetGauge(base + ".max_resident_bytes")
-        ->Set(static_cast<double>(s.max_resident_bytes));
+    SetSessionGauges(registry,
+                     prefix + ".session." + record.summary.session_name,
+                     record.summary);
   }
   registry->GetGauge(prefix + ".frames")
       ->Set(static_cast<double>(stats.total_frames));

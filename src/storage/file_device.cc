@@ -369,7 +369,7 @@ Status FilePageDevice::ReadRun(PageId first, uint64_t count,
   if (count == 0) {
     return Status::OK();
   }
-  if (first + count > table_.size()) {
+  if (!RunInBounds(first, count, table_.size())) {
     return Status::OutOfRange("file device: run read past end");
   }
   BillRead(first, count);

@@ -28,6 +28,13 @@ namespace hdov {
 using PageId = uint64_t;
 inline constexpr PageId kInvalidPage = ~static_cast<PageId>(0);
 
+// True when the run [first, first + count) lies within a device of `size`
+// pages. Written so that no sum can wrap: run bounds come from metadata
+// decoded off disk, and `first + count` overflows for a huge `first`.
+inline bool RunInBounds(PageId first, uint64_t count, uint64_t size) {
+  return count <= size && first <= size - count;
+}
+
 // --- Prefetch accounting hooks (src/prefetch/, docs/prefetch.md) --------
 //
 // The prefetch subsystem models overlapped I/O on top of the simulated
@@ -124,14 +131,6 @@ class PageDevice {
   // device can be copied across backends:
   //   dst->RestoreContents(src.ExportContents(&pages)) style round trip.
   Status ExportContents(std::vector<std::string>* out) const;
-
-  // Persists the device image to a real file / restores it. Materialized
-  // page contents are stored verbatim; unmaterialized extents are recorded
-  // by length only, so a multi-GB logical device saves as a small file.
-  // Statistics and the cost model are not part of the image. Implemented
-  // on top of ReadRaw/RestoreContents, so they work for any subclass.
-  Status SaveToFile(const std::string& path) const;
-  Status LoadFromFile(const std::string& path);
 
   const IoStats& stats() const { return stats_; }
   void ResetStats() { stats_ = IoStats(); }

@@ -44,7 +44,7 @@ Result<std::string> PagedFile::ReadRange(const Extent& extent,
   if (!extent.IsValid()) {
     return Status::InvalidArgument("paged file: invalid extent");
   }
-  if (offset + length > extent.byte_length) {
+  if (length > extent.byte_length || offset > extent.byte_length - length) {
     return Status::OutOfRange("paged file: range beyond extent");
   }
   if (length == 0) {

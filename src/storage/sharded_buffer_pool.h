@@ -4,8 +4,9 @@
 // each shard has its own mutex, LRU list and hit/miss/eviction counters,
 // so hot pages in different shards never contend on one lock.
 //
-// Differences from BufferPool (buffer_pool.h), which stays the
-// single-threaded pool in front of a session's billed devices:
+// This is the program's one page cache. The walkthrough server puts one
+// in front of the tree device and one in front of the store device of its
+// file-backed snapshot, and the prefetcher warms them. Its contract:
 //   - Get returns shared_ptr<const string>: the shared_ptr IS the pin.
 //     Eviction only drops the pool's reference; readers holding the page
 //     keep it alive, so there is no unpin bookkeeping across threads.
@@ -31,10 +32,15 @@
 #include <vector>
 
 #include "common/result.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
 
 namespace hdov {
+
+struct BufferPoolStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;
+};
 
 struct ShardedPoolOptions {
   // Total cached pages across all shards; 0 = pure read-through (every

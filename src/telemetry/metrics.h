@@ -2,8 +2,8 @@
 // cheap enough to leave enabled in benchmarks (a counter increment is one
 // uint64_t add through a cached pointer). Besides owned metrics, the
 // registry accepts *views* — read callbacks over counters that already
-// live elsewhere (e.g. a PageDevice's IoStats or a BufferPool's hit/miss
-// totals) — so existing stat structs keep their layout and call sites
+// live elsewhere (e.g. a PageDevice's IoStats or a V-page store's fetch
+// counts) — so existing stat structs keep their layout and call sites
 // while still appearing in every snapshot.
 //
 // Lifetime: pointers returned by GetCounter/GetGauge/GetHistogram stay

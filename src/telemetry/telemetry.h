@@ -3,7 +3,7 @@
 // object owns
 //
 //   - a MetricsRegistry (counters / gauges / histograms plus read-through
-//     views over IoStats and BufferPool counters),
+//     views over IoStats and V-page-store counters),
 //   - a TraceRecorder for opt-in per-query search span trees,
 //   - the stream of per-frame FrameRecords emitted by instrumented
 //     systems (one structured record per RenderFrame / Query).
@@ -50,7 +50,9 @@ struct FrameRecord {
   uint64_t hidden_pruned = 0;
   uint64_t internal_terminations = 0;
 
-  double cache_hit_rate = 0.0;  // Buffer-pool hit rate this frame.
+  // Always 0: no walkthrough system caches its billed reads. Kept so the
+  // frame-record schema and the pinned baselines stay unchanged.
+  double cache_hit_rate = 0.0;
   uint64_t rendered_triangles = 0;
   uint64_t models_fetched = 0;
   uint64_t resident_bytes = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "telemetry/slow_frame.h"
 #include "telemetry/trace_context.h"
 
 namespace hdov {
@@ -35,32 +34,20 @@ Result<SessionSummary> PlaySession(WalkthroughSystem* system,
   // interned id, and each frame's stage breakdown feeds the always-on
   // slow-frame ring (queue_ns stays 0 — solo playback has no scheduler).
   const uint16_t session_code = telemetry::FlightInternName(session.name);
-  telemetry::SlowFrameCapture& slow = telemetry::GlobalSlowFrameCapture();
 
   SessionAccumulator acc;
   uint64_t frame_index = 0;
   for (const Viewpoint& vp : session.frames) {
     FrameResult frame;
-    Status status;
     telemetry::FrameStageRecord record;
-    {
-      telemetry::SessionTraceScope trace(session_code, frame_index);
-      telemetry::BeginStageAccounting();
-      record.start_ns = telemetry::FlightNowNs();
-      status = system->RenderFrame(vp, &frame);
-      record.wall_ns = telemetry::FlightNowNs() - record.start_ns;
-      record.stages = telemetry::FinishStageAccounting();
-    }
+    const Status status = MeasureFrame(system, vp, session_code, frame_index,
+                                       std::nullopt, &frame, &record);
     if (!status.ok()) {
       if (telemetry != nullptr) {
         telemetry->set_context(saved_context);
       }
       return status;
     }
-    record.session = session_code;
-    record.frame = frame_index;
-    record.io_pages = frame.io_pages;
-    slow.OnFrame(record);
     ++frame_index;
     acc.Add(frame);
     if (options.keep_frames) {
@@ -73,19 +60,48 @@ Result<SessionSummary> PlaySession(WalkthroughSystem* system,
     telemetry->set_context(saved_context);
     if (telemetry->enabled()) {
       // Session-level aggregates as gauges, keyed by system and session.
-      telemetry::MetricsRegistry& m = telemetry->metrics();
-      const std::string base = system->telemetry_prefix() + ".session." +
-                               session.name;
-      m.GetGauge(base + ".avg_frame_time_ms")
-          ->Set(summary.avg_frame_time_ms);
-      m.GetGauge(base + ".var_frame_time")->Set(summary.var_frame_time);
-      m.GetGauge(base + ".avg_io_pages")->Set(summary.avg_io_pages);
-      m.GetGauge(base + ".cache_hit_rate")->Set(summary.avg_cache_hit_rate);
-      m.GetGauge(base + ".max_resident_bytes")
-          ->Set(static_cast<double>(summary.max_resident_bytes));
+      SetSessionGauges(
+          &telemetry->metrics(),
+          system->telemetry_prefix() + ".session." + session.name, summary);
     }
   }
   return summary;
+}
+
+Status MeasureFrame(WalkthroughSystem* system, const Viewpoint& viewpoint,
+                    uint16_t session_code, uint64_t frame_index,
+                    std::optional<uint64_t> enqueue_ns, FrameResult* frame,
+                    telemetry::FrameStageRecord* record) {
+  Status status;
+  record->start_ns = telemetry::FlightNowNs();  // Dispatch.
+  {
+    telemetry::SessionTraceScope trace(session_code, frame_index);
+    telemetry::BeginStageAccounting();
+    status = system->RenderFrame(viewpoint, frame);
+    record->wall_ns = telemetry::FlightNowNs() - record->start_ns;
+    record->stages = telemetry::FinishStageAccounting();
+  }
+  if (!status.ok()) {
+    return status;
+  }
+  record->session = session_code;
+  record->frame = frame_index;
+  record->queue_ns = enqueue_ns ? record->start_ns - *enqueue_ns : 0;
+  record->io_pages = frame->io_pages;
+  telemetry::GlobalSlowFrameCapture().OnFrame(*record);
+  return Status::OK();
+}
+
+void SetSessionGauges(telemetry::MetricsRegistry* registry,
+                      const std::string& base, const SessionSummary& summary) {
+  registry->GetGauge(base + ".avg_frame_time_ms")
+      ->Set(summary.avg_frame_time_ms);
+  registry->GetGauge(base + ".var_frame_time")->Set(summary.var_frame_time);
+  registry->GetGauge(base + ".avg_io_pages")->Set(summary.avg_io_pages);
+  registry->GetGauge(base + ".cache_hit_rate")
+      ->Set(summary.avg_cache_hit_rate);
+  registry->GetGauge(base + ".max_resident_bytes")
+      ->Set(static_cast<double>(summary.max_resident_bytes));
 }
 
 }  // namespace hdov

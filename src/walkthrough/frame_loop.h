@@ -7,11 +7,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "scene/session.h"
+#include "telemetry/metrics.h"
+#include "telemetry/slow_frame.h"
 #include "walkthrough/walkthrough_system.h"
 
 namespace hdov {
@@ -26,12 +29,9 @@ struct SessionSummary {
   double avg_query_time_ms = 0.0;
   double avg_io_pages = 0.0;
   double avg_light_io_pages = 0.0;
-  // Buffer-pool hit rate over the whole session, as total hits divided by
-  // total pool traffic (ratio of sums — a frame with heavy traffic weighs
-  // more than an idle one). Sessions start with a cleared pool
-  // (BufferPool::Clear resets entries AND counters), so this — like the
-  // pool's telemetry views while the session runs — covers only this
-  // session's frames. 0 when the system runs uncached.
+  // Always 0: every walkthrough system bills its tree-node reads uncached,
+  // as the paper's Figs. 7-9 do. Kept for the `.cache_hit_rate` session
+  // gauge and the pinned baselines that read it.
   double avg_cache_hit_rate = 0.0;
   uint64_t max_resident_bytes = 0;
 
@@ -48,8 +48,7 @@ struct SessionSummary {
 // Frame-time variance uses Welford's online algorithm — the textbook
 // E[x²]−E[x]² form cancels catastrophically when the mean is large and the
 // spread small (a long session of ~1e8 ms frames with ±1 ms jitter rounds
-// to variance 0.0). The cache hit rate is a ratio of summed hit/miss
-// counts, not a mean of per-frame ratios.
+// to variance 0.0).
 class SessionAccumulator {
  public:
   void Add(const FrameResult& frame) {
@@ -60,8 +59,6 @@ class SessionAccumulator {
     sum_query_ += frame.query_time_ms;
     sum_io_ += static_cast<double>(frame.io_pages);
     sum_light_io_ += static_cast<double>(frame.light_io_pages);
-    cache_hits_ += frame.cache_hits;
-    cache_misses_ += frame.cache_misses;
     max_resident_bytes_ = std::max(max_resident_bytes_, frame.resident_bytes);
   }
 
@@ -77,11 +74,6 @@ class SessionAccumulator {
     summary->avg_query_time_ms = sum_query_ / n;
     summary->avg_io_pages = sum_io_ / n;
     summary->avg_light_io_pages = sum_light_io_ / n;
-    const uint64_t traffic = cache_hits_ + cache_misses_;
-    summary->avg_cache_hit_rate =
-        traffic == 0 ? 0.0
-                     : static_cast<double>(cache_hits_) /
-                           static_cast<double>(traffic);
     summary->max_resident_bytes = max_resident_bytes_;
   }
 
@@ -92,8 +84,6 @@ class SessionAccumulator {
   double sum_query_ = 0.0;
   double sum_io_ = 0.0;
   double sum_light_io_ = 0.0;
-  uint64_t cache_hits_ = 0;
-  uint64_t cache_misses_ = 0;
   uint64_t max_resident_bytes_ = 0;
 };
 
@@ -105,6 +95,24 @@ struct PlayOptions {
 Result<SessionSummary> PlaySession(WalkthroughSystem* system,
                                    const Session& session,
                                    const PlayOptions& options = PlayOptions());
+
+// Renders frame `frame_index` of a session under that session's trace
+// context and measures it: wall time, exclusive per-stage split and billed
+// pages land in `record`, which on success is fed to the global slow-frame
+// capture. `enqueue_ns` is when a scheduler made the frame runnable
+// (FlightNowNs timeline); without a scheduler it is empty and queue_ns
+// stays 0. Solo playback (PlaySession) and the walkthrough server both
+// measure their frames here.
+Status MeasureFrame(WalkthroughSystem* system, const Viewpoint& viewpoint,
+                    uint16_t session_code, uint64_t frame_index,
+                    std::optional<uint64_t> enqueue_ns, FrameResult* frame,
+                    telemetry::FrameStageRecord* record);
+
+// Writes the five per-session summary gauges `<base>.avg_frame_time_ms`,
+// `.var_frame_time`, `.avg_io_pages`, `.cache_hit_rate` and
+// `.max_resident_bytes` from `summary`.
+void SetSessionGauges(telemetry::MetricsRegistry* registry,
+                      const std::string& base, const SessionSummary& summary);
 
 }  // namespace hdov
 

@@ -16,18 +16,13 @@ VisualSystem::VisualSystem(const Scene* scene, const CellGrid* grid,
       model_device_(std::make_unique<PageDevice>(options.disk, &clock_)),
       models_(std::make_unique<ModelStore>(model_device_.get())) {}
 
-// Shared tail of the three factories: wire the searcher and the optional
-// tree cache, then zero every simulated counter and the disk-head trackers
-// so measured workloads start from an identical state on every path.
+// Shared tail of the three factories: wire the searcher, then zero every
+// simulated counter and the disk-head trackers so measured workloads start
+// from an identical state on every path.
 Status VisualSystem::FinishConstruction() {
   searcher_ = std::make_unique<HdovSearcher>(tree_.get(), scene_,
                                              models_.get(),
                                              tree_device_.get());
-  if (options_.tree_cache_pages > 0) {
-    tree_cache_ = std::make_unique<BufferPool>(tree_device_.get(),
-                                               options_.tree_cache_pages);
-    searcher_->set_tree_cache(tree_cache_.get());
-  }
   // Nonzero prefetch_models_per_frame is the historical way to ask for
   // the (then-inline) synchronous prefetch; it keeps meaning exactly
   // that.
@@ -193,9 +188,6 @@ void VisualSystem::RegisterTelemetry() {
   store_device_->RegisterWith(&m, p + ".io.store");
   model_device_->RegisterWith(&m, p + ".io.model");
   store_->RegisterTelemetry(&m, p);
-  if (tree_cache_ != nullptr) {
-    tree_cache_->RegisterWith(&m, p + ".cache.tree");
-  }
   if (prefetcher_ != nullptr &&
       prefetcher_->mode() == prefetch::PrefetchMode::kAsync) {
     // Async only: the sync fold must not add metrics the pinned baseline
@@ -309,10 +301,6 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
   const IoStats tree0 = tree_device_->stats();
   const IoStats store0 = store_device_->stats();
   const IoStats model0 = model_device_->stats();
-  const uint64_t cache_hits0 =
-      tree_cache_ != nullptr ? tree_cache_->stats().hits : 0;
-  const uint64_t cache_misses0 =
-      tree_cache_ != nullptr ? tree_cache_->stats().misses : 0;
 
   in_frame_ = true;
   struct InFrameGuard {
@@ -427,16 +415,6 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
   result->frame_time_ms =
       result->query_time_ms + options_.render.FrameMillis(triangles);
   flight.set_io_pages(result->io_pages);
-  if (tree_cache_ != nullptr) {
-    const uint64_t hits = tree_cache_->stats().hits - cache_hits0;
-    const uint64_t misses = tree_cache_->stats().misses - cache_misses0;
-    result->cache_hits = hits;
-    result->cache_misses = misses;
-    result->cache_hit_rate =
-        hits + misses == 0
-            ? 0.0
-            : static_cast<double>(hits) / static_cast<double>(hits + misses);
-  }
   if (TelemetryOn()) {
     frame_time_hist_->Observe(result->frame_time_ms);
     EmitFrameRecord(*result, frame_cell);
@@ -450,9 +428,6 @@ void VisualSystem::ResetRuntime() {
   prefetch_loaded_.clear();
   if (prefetcher_ != nullptr) {
     prefetcher_->Reset();
-  }
-  if (tree_cache_ != nullptr) {
-    tree_cache_->Clear();
   }
 }
 

@@ -57,11 +57,6 @@ struct VisualOptions {
   // pass their per-process queue so sessions share workers.
   prefetch::AsyncFetchQueue* prefetch_queue = nullptr;
 
-  // LRU buffer pool (in pages) in front of the tree-node reads; hit pages
-  // cost no simulated I/O. 0 (default) keeps the paper's uncached billing,
-  // so the Fig. 7-9 numbers are unchanged unless a caller opts in.
-  size_t tree_cache_pages = 0;
-
   // Worker threads for the offline per-cell V-page derivation inside
   // Create (0 = one per hardware thread). Affects build wall-clock only;
   // the built store is identical for every value.
@@ -204,7 +199,6 @@ class VisualSystem : public WalkthroughSystem {
   std::shared_ptr<const HdovTree> tree_;
   std::unique_ptr<VisibilityStore> store_;
   std::unique_ptr<HdovSearcher> searcher_;
-  std::unique_ptr<BufferPool> tree_cache_;  // Only with tree_cache_pages.
 
   // Registry-owned metric handles; valid only while attached (the base
   // class unregisters the prefix on detach).

@@ -35,13 +35,6 @@ struct FrameResult {
 
   // Threshold-search decision counts (HDoV systems; zero elsewhere).
   SearchStats search;
-  // Tree-page buffer-pool traffic this frame (0 when no pool is wired).
-  // The counts let aggregators weigh frames by their traffic instead of
-  // averaging per-frame ratios.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  // Hit rate over this frame's pool traffic (0 when no pool is wired).
-  double cache_hit_rate = 0.0;
 };
 
 class WalkthroughSystem {
@@ -146,7 +139,6 @@ class WalkthroughSystem {
     rec.vpages_fetched = result.search.vpages_fetched;
     rec.hidden_pruned = result.search.hidden_entries_pruned;
     rec.internal_terminations = result.search.internal_terminations;
-    rec.cache_hit_rate = result.cache_hit_rate;
     rec.rendered_triangles = result.rendered_triangles;
     rec.models_fetched = result.models_fetched;
     rec.resident_bytes = result.resident_bytes;

@@ -579,40 +579,6 @@ TEST_F(HdovFixture, NodePageBillingChargesTreeDevice) {
   // per visited node and at least one page overall.
   EXPECT_GT(tree_device.stats().page_reads, 0u);
   EXPECT_LE(tree_device.stats().page_reads, stats.nodes_visited);
-
-  // The tree-cache arm: with an LRU pool in front of a second packed copy,
-  // every cell's query returns the same result and stats. The pool sees
-  // exactly the page switches the uncached searcher bills, and the device
-  // behind it reads only the misses.
-  PageDevice cached_device;
-  HdovTree cached_copy = *tree_;
-  ASSERT_TRUE(cached_copy.Pack(&cached_device).ok());
-  BufferPool pool(&cached_device, 4);
-  HdovSearcher cached(&cached_copy, scene_, models_, &cached_device);
-  cached.set_tree_cache(&pool);
-  tree_device.ResetStats();
-  cached_device.ResetStats();
-  for (CellId c = 0; c < table_->num_cells(); ++c) {
-    std::vector<RetrievedLod> cached_result;
-    SearchStats cached_stats;
-    ASSERT_TRUE(searcher.Search(store->get(), c, opt, &result, &stats).ok());
-    ASSERT_TRUE(cached
-                    .Search(store->get(), c, opt, &cached_result,
-                            &cached_stats)
-                    .ok());
-    ASSERT_EQ(result.size(), cached_result.size()) << "cell " << c;
-    for (size_t i = 0; i < result.size(); ++i) {
-      EXPECT_EQ(result[i].owner, cached_result[i].owner);
-      EXPECT_EQ(result[i].lod_level, cached_result[i].lod_level);
-      EXPECT_EQ(result[i].model, cached_result[i].model);
-    }
-    EXPECT_EQ(stats.nodes_visited, cached_stats.nodes_visited);
-    EXPECT_EQ(stats.vpages_fetched, cached_stats.vpages_fetched);
-  }
-  EXPECT_GT(pool.stats().hits, 0u);
-  EXPECT_EQ(pool.stats().hits + pool.stats().misses,
-            tree_device.stats().page_reads);
-  EXPECT_EQ(cached_device.stats().page_reads, pool.stats().misses);
 }
 
 TEST_F(HdovFixture, CostModelHeuristicCoversAndSavesTriangles) {
@@ -740,23 +706,24 @@ TEST_F(HdovFixture, PrioritizeRetrievalIsStableOnTies) {
 }
 
 TEST_F(HdovFixture, FullPersistenceRoundTrip) {
-  // Pack + manifest -> device image file -> reload -> identical search
-  // results through the restored tree.
-  const std::string path = ::testing::TempDir() + "/hdov_tree_image";
+  // The world snapshot's path: Pack + EncodeManifest -> export the device
+  // pages -> restore them into a fresh device -> FromManifest -> identical
+  // search results through the restored tree.
   PageDevice device;
   HdovTree packed = *tree_;
   ASSERT_TRUE(packed.Pack(&device).ok());
-  PagedFile file(&device);
-  Result<Extent> manifest = packed.WriteManifest(&file);
-  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-  ASSERT_TRUE(device.SaveToFile(path).ok());
+  std::string manifest;
+  ASSERT_TRUE(packed.EncodeManifest(&manifest).ok());
+  std::vector<std::string> pages;
+  ASSERT_TRUE(device.ExportContents(&pages).ok());
 
   PageDevice restored_device;
-  ASSERT_TRUE(restored_device.LoadFromFile(path).ok());
-  PagedFile restored_file(&restored_device);
+  ASSERT_TRUE(restored_device.RestoreContents(std::move(pages)).ok());
+  EXPECT_EQ(restored_device.page_count(), device.page_count());
   Result<HdovTree> restored =
-      HdovTree::LoadFrom(&restored_device, &restored_file, *manifest);
+      HdovTree::FromManifest(&restored_device, manifest);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(restored->CheckInvariants().ok());
   EXPECT_EQ(restored->num_nodes(), tree_->num_nodes());
   EXPECT_EQ(restored->fanout(), tree_->fanout());
   EXPECT_EQ(restored->object_models(), tree_->object_models());

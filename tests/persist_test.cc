@@ -84,6 +84,25 @@ TEST(FilePageDeviceTest, RoundTripThroughReopen) {
   std::remove(path.c_str());
 }
 
+// A run whose first + count wraps past 2^64 lies past the device end: it
+// is refused before anything is billed or read.
+TEST(FilePageDeviceTest, WrappingRunIsOutOfRange) {
+  const std::string path = TempPath("hdov_file_device_wrap.bin");
+  auto device = FilePageDevice::Create(path);
+  ASSERT_TRUE(device.ok()) << device.status().ToString();
+  ASSERT_TRUE((*device)->Write((*device)->Allocate(), "alpha").ok());
+  ASSERT_TRUE((*device)->Write((*device)->Allocate(), "beta").ok());
+  (*device)->ResetStats();
+  const uint64_t kMax = ~uint64_t{0};
+  std::vector<std::string> run;
+  EXPECT_EQ((*device)->ReadRun(kMax - 1, 3, &run).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ((*device)->ReadRun(1, kMax, nullptr).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ((*device)->stats().page_reads, 0u);
+  std::remove(path.c_str());
+}
+
 TEST(FilePageDeviceTest, BillingMatchesMemoryDevice) {
   const std::string path = TempPath("hdov_file_device_billing.bin");
   auto file = FilePageDevice::Create(path);

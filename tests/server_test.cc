@@ -456,6 +456,24 @@ TEST_F(ServerTest, ServedWorldIsReadOnly) {
   EXPECT_GT(clock.NowMillis(), 0.0);
 }
 
+// A run whose first + count wraps past 2^64 lies past the base device's
+// end: it is refused before the session's clock is billed.
+TEST(SessionDeviceTest, WrappingRunIsOutOfRange) {
+  PageDevice base;
+  base.Allocate();
+  base.Allocate();
+  SimClock clock;
+  SessionDevice device(&base, nullptr, DiskModel(), &clock);
+  const uint64_t kMax = ~uint64_t{0};
+  std::vector<std::string> run;
+  EXPECT_EQ(device.ReadRun(kMax - 1, 3, &run).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(device.ReadRun(kMax - 1, 3, nullptr).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(device.stats().page_reads, 0u);
+  EXPECT_DOUBLE_EQ(clock.NowMillis(), 0.0);
+}
+
 TEST_F(ServerTest, ErrorPaths) {
   ServerOptions opt = BaseOptions();
   auto server = WalkthroughServer::Open(opt);

@@ -1,20 +1,15 @@
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <string>
-
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/coding.h"
-#include "common/rng.h"
-#include "storage/buffer_pool.h"
 #include "storage/model_store.h"
 #include "storage/page_device.h"
 #include "storage/paged_file.h"
 #include "storage/sharded_buffer_pool.h"
-#include "telemetry/metrics.h"
 
 namespace hdov {
 namespace {
@@ -184,183 +179,15 @@ TEST(PagedFileTest, ReadRangeBoundsChecked) {
   ASSERT_TRUE(extent.ok());
   EXPECT_EQ(file.ReadRange(*extent, 50, 51).status().code(),
             StatusCode::kOutOfRange);
+  // An offset + length that wraps past 2^64 must not wrap back inside.
+  const uint64_t kMax = ~uint64_t{0};
+  EXPECT_EQ(file.ReadRange(*extent, kMax - 10, 20).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(file.ReadRange(*extent, 50, kMax - 10).status().code(),
+            StatusCode::kOutOfRange);
   Result<std::string> empty = file.ReadRange(*extent, 100, 0);
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
-}
-
-TEST(PageDeviceTest, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/hdov_device_image";
-  PageDevice device;
-  PageId a = device.Allocate();
-  ASSERT_TRUE(device.Write(a, "persisted page").ok());
-  PageId sparse = device.AllocateUnmaterialized(100);
-  PageId b = device.Allocate();
-  ASSERT_TRUE(device.Write(b, "another page").ok());
-  ASSERT_TRUE(device.SaveToFile(path).ok());
-
-  PageDevice restored;
-  ASSERT_TRUE(restored.LoadFromFile(path).ok());
-  EXPECT_EQ(restored.page_count(), device.page_count());
-  std::string data;
-  ASSERT_TRUE(restored.Read(a, &data).ok());
-  EXPECT_EQ(data.substr(0, 14), "persisted page");
-  ASSERT_TRUE(restored.Read(b, &data).ok());
-  EXPECT_EQ(data.substr(0, 12), "another page");
-  ASSERT_TRUE(restored.Read(sparse + 5, &data).ok());
-  EXPECT_EQ(data, std::string(restored.page_size(), '\0'));
-}
-
-TEST(PageDeviceTest, SparseImageStaysSmall) {
-  const std::string path = ::testing::TempDir() + "/hdov_sparse_image";
-  PageDevice device;
-  device.AllocateUnmaterialized(100000);  // 400 MB logical.
-  ASSERT_TRUE(device.SaveToFile(path).ok());
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  ASSERT_TRUE(in.good());
-  EXPECT_LT(in.tellg(), 200000);  // Flags only, not 400 MB.
-}
-
-TEST(PageDeviceTest, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/hdov_bad_image";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a device image";
-  }
-  PageDevice device;
-  EXPECT_FALSE(device.LoadFromFile(path).ok());
-  EXPECT_TRUE(device.LoadFromFile("/nonexistent/dir/img").IsIoError());
-}
-
-TEST(BufferPoolTest, HitsAvoidDeviceReads) {
-  PageDevice device;
-  PageId p = device.Allocate();
-  ASSERT_TRUE(device.Write(p, "cached").ok());
-  device.ResetStats();
-  BufferPool pool(&device, 4);
-  ASSERT_TRUE(pool.Get(p).ok());
-  ASSERT_TRUE(pool.Get(p).ok());
-  ASSERT_TRUE(pool.Get(p).ok());
-  EXPECT_EQ(device.stats().page_reads, 1u);
-  EXPECT_EQ(pool.stats().hits, 2u);
-  EXPECT_EQ(pool.stats().misses, 1u);
-}
-
-TEST(BufferPoolTest, LruEviction) {
-  PageDevice device;
-  PageId pages[3] = {device.Allocate(), device.Allocate(), device.Allocate()};
-  BufferPool pool(&device, 2);
-  ASSERT_TRUE(pool.Get(pages[0]).ok());
-  ASSERT_TRUE(pool.Get(pages[1]).ok());
-  ASSERT_TRUE(pool.Get(pages[0]).ok());  // Touch 0: 1 is now LRU.
-  ASSERT_TRUE(pool.Get(pages[2]).ok());  // Evicts 1.
-  device.ResetStats();
-  ASSERT_TRUE(pool.Get(pages[0]).ok());  // Hit.
-  EXPECT_EQ(device.stats().page_reads, 0u);
-  ASSERT_TRUE(pool.Get(pages[1]).ok());  // Miss: was evicted.
-  EXPECT_EQ(device.stats().page_reads, 1u);
-  // Two evictions so far: page 1 (at the page-2 miss) and then page 2
-  // (bringing page 1 back into a full pool).
-  EXPECT_EQ(pool.stats().evictions, 2u);
-}
-
-TEST(BufferPoolTest, ContentMatchesDevice) {
-  PageDevice device;
-  PageId p = device.Allocate();
-  ASSERT_TRUE(device.Write(p, "payload!").ok());
-  BufferPool pool(&device, 2);
-  Result<BufferPool::PageRef> ref = pool.Get(p);
-  ASSERT_TRUE(ref.ok());
-  EXPECT_TRUE(ref->valid());
-  EXPECT_EQ(ref->data().substr(0, 8), "payload!");
-  EXPECT_EQ((*ref)->substr(0, 8), "payload!");  // operator-> passthrough.
-}
-
-// Regression for the dangling-pointer bug the old API invited: the old
-// Get returned a `const std::string*` that a later Get could evict and
-// free. A live PageRef pins its page, so eviction pressure must not
-// touch it (under ASan this test dies if the payload is freed).
-TEST(BufferPoolTest, PinnedRefSurvivesEvictionPressure) {
-  PageDevice device;
-  PageId pinned = device.Allocate();
-  ASSERT_TRUE(device.Write(pinned, "pinned page").ok());
-  PageId others[3] = {device.Allocate(), device.Allocate(),
-                      device.Allocate()};
-  BufferPool pool(&device, 1);
-  Result<BufferPool::PageRef> ref = pool.Get(pinned);
-  ASSERT_TRUE(ref.ok());
-  const std::string& bytes = ref->data();
-  // Each of these would evict `pinned` under plain LRU at capacity 1.
-  for (PageId p : others) {
-    ASSERT_TRUE(pool.Get(p).ok());
-  }
-  EXPECT_EQ(bytes.substr(0, 11), "pinned page");
-  // The pinned page rode above capacity (pin-through); the transient refs
-  // released immediately, so only it and the newest unpinned page remain
-  // at most: pinned + <=1 unpinned.
-  EXPECT_LE(pool.size(), 2u);
-  ref->Release();
-  EXPECT_FALSE(ref->valid());
-  // Releasing the pin while over capacity trims back down.
-  EXPECT_LE(pool.size(), 1u);
-}
-
-TEST(BufferPoolTest, CapacityZeroIsPinThrough) {
-  PageDevice device;
-  PageId p = device.Allocate();
-  ASSERT_TRUE(device.Write(p, "transient").ok());
-  BufferPool pool(&device, 0);
-  {
-    Result<BufferPool::PageRef> ref = pool.Get(p);
-    ASSERT_TRUE(ref.ok());
-    EXPECT_EQ(ref->data().substr(0, 9), "transient");
-    EXPECT_EQ(pool.size(), 1u);  // Alive only because of the pin.
-  }
-  EXPECT_EQ(pool.size(), 0u);  // Dropped at unpin: nothing is cached.
-  ASSERT_TRUE(pool.Get(p).ok());
-  EXPECT_EQ(pool.stats().hits, 0u);  // Every Get is a miss at capacity 0.
-  EXPECT_EQ(pool.stats().misses, 2u);
-}
-
-TEST(BufferPoolTest, GetNeverLeavesUnpinnedOverCapacity) {
-  PageDevice device;
-  PageId pages[8];
-  for (PageId& p : pages) {
-    p = device.Allocate();
-  }
-  BufferPool pool(&device, 3);
-  Rng rng(7);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(pool.Get(pages[rng.NextUint64(8)]).ok());
-    ASSERT_LE(pool.size(), pool.capacity());  // No refs held => hard cap.
-  }
-}
-
-TEST(BufferPoolTest, ClearResetsStatsAndDropsUnpinned) {
-  PageDevice device;
-  PageId a = device.Allocate();
-  PageId b = device.Allocate();
-  ASSERT_TRUE(device.Write(a, "kept alive").ok());
-  BufferPool pool(&device, 4);
-  Result<BufferPool::PageRef> held = pool.Get(a);
-  ASSERT_TRUE(held.ok());
-  ASSERT_TRUE(pool.Get(b).ok());
-  ASSERT_TRUE(pool.Get(b).ok());  // One hit on b.
-  EXPECT_EQ(pool.stats().hits, 1u);
-  EXPECT_EQ(pool.stats().misses, 2u);
-
-  pool.Clear();
-  // Counters restart so post-Clear readers see per-session numbers...
-  EXPECT_EQ(pool.stats().hits, 0u);
-  EXPECT_EQ(pool.stats().misses, 0u);
-  EXPECT_EQ(pool.stats().evictions, 0u);
-  // ...unpinned entries are gone, but the live ref kept its page intact.
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_EQ(held->data().substr(0, 10), "kept alive");
-  device.ResetStats();
-  ASSERT_TRUE(pool.Get(b).ok());
-  EXPECT_EQ(device.stats().page_reads, 1u);  // b was really dropped.
-  EXPECT_EQ(pool.stats().misses, 1u);
 }
 
 TEST(ModelStoreTest, RegisterAndFetchBilling) {
@@ -463,6 +290,13 @@ TEST(PageDeviceTest, OutOfRangeAccessesLeaveCountersUntouched) {
               StatusCode::kOutOfRange);
   EXPECT_TRUE(device.ReadRun(p + 5, 1, nullptr).code() ==
               StatusCode::kOutOfRange);
+  // Runs whose first + count wraps past 2^64 lie past the end too.
+  const uint64_t kMax = ~uint64_t{0};
+  std::vector<std::string> run;
+  EXPECT_TRUE(device.ReadRun(kMax - 1, 3, &run).code() ==
+              StatusCode::kOutOfRange);
+  EXPECT_TRUE(device.ReadRun(p + 1, kMax, nullptr).code() ==
+              StatusCode::kOutOfRange);
   EXPECT_TRUE(device.ReadRaw(p + 1, &data).code() ==
               StatusCode::kOutOfRange);
   EXPECT_EQ(device.stats().page_reads, 0u);
@@ -470,63 +304,6 @@ TEST(PageDeviceTest, OutOfRangeAccessesLeaveCountersUntouched) {
   EXPECT_DOUBLE_EQ(device.clock().NowMillis(), 0.0);
   // A zero-length run is a no-op, not an error, wherever it starts.
   EXPECT_TRUE(device.ReadRun(p + 5, 0, nullptr).ok());
-}
-
-// ----------------------- buffer-pool telemetry lifetime (regressions)
-
-TEST(BufferPoolTest, DestructionDropsRegisteredViews) {
-  // The views capture &stats_; before the destructor unregistered them, a
-  // snapshot taken after the pool died read freed memory.
-  telemetry::MetricsRegistry registry;
-  PageDevice device;
-  PageId p = device.Allocate();
-  {
-    BufferPool pool(&device, 4);
-    ASSERT_TRUE(pool.Get(p).ok());
-    pool.RegisterWith(&registry, "pool");
-    EXPECT_TRUE(registry.Contains("pool.hits"));
-    EXPECT_TRUE(registry.Contains("pool.hit_rate"));
-  }
-  EXPECT_FALSE(registry.Contains("pool.hits"));
-  (void)registry.Snapshot();  // Under ASan: no freed stats left behind.
-}
-
-TEST(BufferPoolTest, ReRegisterMovesViews) {
-  telemetry::MetricsRegistry first, second;
-  PageDevice device;
-  BufferPool pool(&device, 4);
-  pool.RegisterWith(&first, "a");
-  EXPECT_TRUE(first.Contains("a.hits"));
-  pool.RegisterWith(&second, "b");
-  EXPECT_FALSE(first.Contains("a.hits"));
-  EXPECT_TRUE(second.Contains("b.hits"));
-  // Explicit unregistration, for pools that outlive their registry.
-  pool.UnregisterViews();
-  pool.UnregisterViews();  // Idempotent.
-  EXPECT_FALSE(second.Contains("b.hits"));
-}
-
-TEST(BufferPoolTest, FlightRetargetRacesWithGets) {
-  // Regression for the plain-field data race: RegisterWith stores the
-  // flight code while the Get path reads it for every hit/miss event.
-  // Run under TSan; the code is atomic now, so this must be clean.
-  PageDevice device;
-  PageId p = device.Allocate();
-  ASSERT_TRUE(device.Write(p, "raced").ok());
-  BufferPool pool(&device, 4);
-  telemetry::MetricsRegistry registry;
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      ASSERT_TRUE(pool.Get(p).ok());
-    }
-  });
-  for (int i = 0; i < 200; ++i) {
-    pool.RegisterWith(&registry, i % 2 == 0 ? "pool.even" : "pool.odd");
-  }
-  stop.store(true, std::memory_order_relaxed);
-  reader.join();
-  pool.UnregisterViews();
 }
 
 // -------------------------------------------------- sharded buffer pool

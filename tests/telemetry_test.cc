@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
@@ -160,15 +159,6 @@ TEST(DeviceViewsTest, PageDeviceAndBufferPoolRegister) {
   ASSERT_TRUE(device.Read(p, &data).ok());
   ASSERT_TRUE(device.Read(p, &data).ok());
   EXPECT_DOUBLE_EQ(m.Snapshot().Find("t.io.disk.page_reads")->value, 2.0);
-
-  BufferPool pool(&device, 4);
-  pool.RegisterWith(&m, "t.cache");
-  ASSERT_TRUE(pool.Get(p).ok());
-  ASSERT_TRUE(pool.Get(p).ok());  // Second read hits.
-  MetricsSnapshot snap = m.Snapshot();
-  EXPECT_DOUBLE_EQ(snap.Find("t.cache.hits")->value, 1.0);
-  EXPECT_DOUBLE_EQ(snap.Find("t.cache.misses")->value, 1.0);
-  EXPECT_DOUBLE_EQ(snap.Find("t.cache.hit_rate")->value, 0.5);
 }
 
 TEST(TraceRecorderTest, SpanNesting) {

@@ -559,30 +559,6 @@ TEST_F(WalkthroughFixture, TelemetryFrameRecordsMatchIoStats) {
   EXPECT_EQ(tel.metrics().size(), 0u);
 }
 
-TEST_F(WalkthroughFixture, TelemetryTreeCacheReportsHitRate) {
-  telemetry::Telemetry tel;
-  VisualOptions opt;
-  opt.eta = 0.001;
-  opt.build.rtree.max_entries = 8;
-  opt.build.rtree.min_entries = 3;
-  opt.tree_cache_pages = 64;
-  Result<std::unique_ptr<VisualSystem>> visual =
-      VisualSystem::Create(scene_, grid_, table_, opt);
-  ASSERT_TRUE(visual.ok()) << visual.status().ToString();
-  (*visual)->AttachTelemetry(&tel, "cached");
-
-  Viewpoint vp = CenterViewpoint();
-  FrameResult first, second;
-  ASSERT_TRUE((*visual)->RenderFrame(vp, &first).ok());
-  (*visual)->set_delta_enabled(false);
-  ASSERT_TRUE((*visual)->RenderFrame(vp, &second).ok());
-  // The second full traversal reads the same node pages: all pool hits.
-  EXPECT_GT(second.cache_hit_rate, 0.0);
-  const telemetry::MetricsSnapshot snap = tel.metrics().Snapshot();
-  ASSERT_NE(snap.Find("cached.cache.tree.hit_rate"), nullptr);
-  EXPECT_GT(snap.Find("cached.cache.tree.hit_rate")->value, 0.0);
-}
-
 TEST_F(WalkthroughFixture, TelemetryQueryTraceHasSearchSpans) {
   // The horizontal scheme keeps no per-cell segment in memory; its span
   // tree must be just as complete and closed as the indexed-vertical one.
@@ -779,29 +755,6 @@ TEST(SessionAccumulatorTest, TwoSampleVarianceIsExact) {
   acc.FinishInto(&summary);
   EXPECT_DOUBLE_EQ(summary.avg_frame_time_ms, 5.0);
   EXPECT_DOUBLE_EQ(summary.var_frame_time, 4.0);  // Population variance.
-}
-
-TEST(SessionAccumulatorTest, CacheHitRateIsRatioOfSums) {
-  // Skewed-traffic regression: a light frame at 50% and a heavy frame at
-  // 100% used to average to 75%; weighting by traffic gives 99/100.
-  FrameResult light, heavy;
-  light.cache_hits = 1;
-  light.cache_misses = 1;
-  light.cache_hit_rate = 0.5;
-  heavy.cache_hits = 98;
-  heavy.cache_misses = 0;
-  heavy.cache_hit_rate = 1.0;
-  ScriptedSystem system({light, heavy});
-  Result<SessionSummary> summary = PlaySession(&system, BlankSession(2));
-  ASSERT_TRUE(summary.ok());
-  EXPECT_DOUBLE_EQ(summary->avg_cache_hit_rate, 0.99);
-}
-
-TEST(SessionAccumulatorTest, NoCacheTrafficReportsZeroHitRate) {
-  ScriptedSystem system({FrameResult()});
-  Result<SessionSummary> summary = PlaySession(&system, BlankSession(5));
-  ASSERT_TRUE(summary.ok());
-  EXPECT_DOUBLE_EQ(summary->avg_cache_hit_rate, 0.0);
 }
 
 }  // namespace
