@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -133,28 +134,59 @@ void BM_PageDeviceSequentialVsRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_PageDeviceSequentialVsRandom)->Arg(1)->Arg(0);
 
-// Cost of one flight-recorder event, enabled vs disabled. The recorder is
-// always on in production paths, so the enabled per-event cost IS the
-// observability tax; the disabled arm measures the short-circuit branch.
+// Record-path cost of one flight-recorder page read: enabled, disabled,
+// and batched. The recorder is always on in production paths, so the
+// enabled per-event cost IS the observability tax; the disabled arm
+// measures the short-circuit branch; the batched arm records the same
+// reads inside a FlightReadBatch reopened every kReadsPerBatch reads, the
+// shape of one query's model-fetch loop. The periodic drain that keeps
+// the ring from lapping is excluded from the timing (BM_FlightRecorderDrain
+// measures it).
 void BM_FlightRecorderOverhead(benchmark::State& state) {
-  const bool enabled = state.range(0) == 1;
+  constexpr uint64_t kReadsPerBatch = 75;
+  const bool enabled = state.range(0) != 0;
+  const bool batched = state.range(0) == 2;
   telemetry::FlightRecorder recorder(1 << 16);
   recorder.set_enabled(enabled);
   const uint16_t code = telemetry::FlightInternName("bench");
+  std::optional<telemetry::FlightReadBatch> batch;
   uint64_t n = 0;
   for (auto _ : state) {
+    if (batched && n % kReadsPerBatch == 0) {
+      batch.reset();
+      batch.emplace(recorder);
+    }
     recorder.Record(telemetry::FlightEventType::kPageRead, code, n, 1);
     ++n;
     if (enabled && (n & 0xffff) == 0) {
-      // Periodically consume so steady state measures ring writes, not an
-      // ever-lapped ring (drop accounting is branch-identical either way).
+      state.PauseTiming();
       benchmark::DoNotOptimize(recorder.Drain(/*consume=*/true).events.size());
+      state.ResumeTiming();
     }
   }
-  state.SetLabel(enabled ? "enabled" : "disabled");
+  batch.reset();
+  state.SetLabel(batched ? "batched" : enabled ? "enabled" : "disabled");
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_FlightRecorderOverhead)->Arg(1)->Arg(0);
+BENCHMARK(BM_FlightRecorderOverhead)->Arg(1)->Arg(0)->Arg(2);
+
+// Cost per drained event of Drain(consume) over one full ring of page
+// reads: the merge, sort and copy a dump or slow-frame capture pays.
+void BM_FlightRecorderDrain(benchmark::State& state) {
+  constexpr uint64_t kEvents = 1 << 15;
+  telemetry::FlightRecorder recorder(kEvents * 2);
+  const uint16_t code = telemetry::FlightInternName("bench");
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (uint64_t n = 0; n < kEvents; ++n) {
+      recorder.Record(telemetry::FlightEventType::kPageRead, code, n, 1);
+    }
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(recorder.Drain(/*consume=*/true).events.size());
+  }
+  state.SetItemsProcessed(state.iterations() * kEvents);
+}
+BENCHMARK(BM_FlightRecorderDrain);
 
 // Thread scaling of the per-cell DoV precompute (the parallel build
 // path). Per-cell work is independent, so real time should drop

@@ -52,6 +52,10 @@ Result<std::unique_ptr<BitmapVerticalStore>> BitmapVerticalStore::Load(
   auto store = std::unique_ptr<BitmapVerticalStore>(new BitmapVerticalStore(
       device, VPageRecordSize(tree.fanout()), tree.num_nodes()));
   HDOV_RETURN_IF_ERROR(DecodeExtent(&decoder, &store->index_extent_));
+  if (!store->index_file_.Holds(store->index_extent_)) {
+    return Status::Corruption(
+        "bitmap vertical store: index extent past device end");
+  }
   uint64_t cells = 0;
   HDOV_RETURN_IF_ERROR(decoder.DecodeFixed64(&cells));
   HDOV_RETURN_IF_ERROR(decoder.CheckCount(cells, sizeof(uint64_t)));

@@ -62,6 +62,10 @@ Result<std::unique_ptr<IndexedVerticalStore>> IndexedVerticalStore::Load(
   auto store = std::unique_ptr<IndexedVerticalStore>(
       new IndexedVerticalStore(device, VPageRecordSize(tree.fanout())));
   HDOV_RETURN_IF_ERROR(DecodeExtent(&decoder, &store->index_extent_));
+  if (!store->index_file_.Holds(store->index_extent_)) {
+    return Status::Corruption(
+        "indexed vertical store: index extent past device end");
+  }
   uint64_t cells = 0;
   HDOV_RETURN_IF_ERROR(decoder.DecodeFixed64(&cells));
   HDOV_RETURN_IF_ERROR(decoder.CheckCount(cells, 2 * sizeof(uint64_t)));

@@ -59,6 +59,9 @@ Result<std::unique_ptr<VerticalStore>> VerticalStore::Load(
   auto store = std::unique_ptr<VerticalStore>(
       new VerticalStore(device, VPageRecordSize(tree.fanout())));
   HDOV_RETURN_IF_ERROR(DecodeExtent(&decoder, &store->index_extent_));
+  if (!store->index_file_.Holds(store->index_extent_)) {
+    return Status::Corruption("vertical store: index extent past device end");
+  }
   HDOV_RETURN_IF_ERROR(decoder.DecodeFixed64(&store->segment_bytes_));
   HDOV_RETURN_IF_ERROR(decoder.DecodeFixed32(&store->num_cells_));
   HDOV_RETURN_IF_ERROR(store->vpages_.RestoreMeta(&decoder));

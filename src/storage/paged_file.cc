@@ -22,9 +22,21 @@ Result<Extent> PagedFile::Append(std::string_view data) {
   return extent;
 }
 
+bool PagedFile::Holds(const Extent& extent) const {
+  const uint32_t page_size = device_->page_size();
+  const uint64_t needed = extent.byte_length / page_size +
+                          (extent.byte_length % page_size != 0 ? 1 : 0);
+  return RunInBounds(extent.first_page, extent.page_count,
+                     device_->page_count()) &&
+         needed <= extent.page_count;
+}
+
 Result<std::string> PagedFile::ReadExtent(const Extent& extent) const {
   if (!extent.IsValid()) {
     return Status::InvalidArgument("paged file: invalid extent");
+  }
+  if (!Holds(extent)) {
+    return Status::OutOfRange("paged file: extent beyond device");
   }
   std::vector<std::string> pages;
   HDOV_RETURN_IF_ERROR(
@@ -43,6 +55,9 @@ Result<std::string> PagedFile::ReadRange(const Extent& extent,
                                          uint64_t length) const {
   if (!extent.IsValid()) {
     return Status::InvalidArgument("paged file: invalid extent");
+  }
+  if (!Holds(extent)) {
+    return Status::OutOfRange("paged file: extent beyond device");
   }
   if (length > extent.byte_length || offset > extent.byte_length - length) {
     return Status::OutOfRange("paged file: range beyond extent");

@@ -49,13 +49,20 @@ class PagedFile {
   // Appends `data` as a new extent (always whole pages).
   Result<Extent> Append(std::string_view data);
 
+  // True when `extent` is a page run on the device whose pages can hold
+  // its byte_length. Wrap-safe: extents are decoded off disk, and
+  // `first_page + page_count` overflows for a crafted `first_page`.
+  bool Holds(const Extent& extent) const;
+
   // Reads a whole extent back (one seek + page_count transfers).
+  // OutOfRange when the device does not hold the extent.
   Result<std::string> ReadExtent(const Extent& extent) const;
 
   // Reads `length` bytes starting at `offset` within the extent, touching
   // only the pages that cover the range (one seek + covered transfers).
   // This is how segmented files (e.g. the V-page-index) read one segment
-  // out of a larger contiguous region.
+  // out of a larger contiguous region. OutOfRange when the device does not
+  // hold the extent.
   Result<std::string> ReadRange(const Extent& extent, uint64_t offset,
                                 uint64_t length) const;
 

@@ -37,6 +37,8 @@ std::string_view FlightEventTypeName(FlightEventType type) {
       return "prefetch_used";
     case FlightEventType::kPrefetchCancel:
       return "prefetch_cancel";
+    case FlightEventType::kPageReads:
+      return "page_reads";
   }
   return "unknown";
 }
@@ -189,6 +191,26 @@ FlightRecorder::Buffer* FlightRecorder::LocalBuffer() {
   return buffer;
 }
 
+namespace {
+
+// The calling thread's read batch (FlightReadBatch). `recorder` is the
+// recorder the outermost open scope names, null when none is open; the
+// pending aggregate is empty while `runs` is 0.
+struct ReadBatch {
+  FlightRecorder* recorder = nullptr;
+  uint32_t depth = 0;
+  uint8_t stage = 0;
+  uint16_t code = 0;
+  uint16_t session = 0;
+  uint64_t ts_ns = 0;
+  uint64_t runs = 0;
+  uint64_t pages = 0;
+};
+
+thread_local ReadBatch t_read_batch;
+
+}  // namespace
+
 void FlightRecorder::Record(FlightEventType type, uint16_t code, uint64_t a,
                             uint64_t b) {
   // Stamp the thread's ambient session + stage so the event is
@@ -202,19 +224,69 @@ void FlightRecorder::RecordWithStage(FlightEventType type, uint16_t code,
   if (!enabled()) {
     return;
   }
+  const uint16_t session = CurrentTraceContext().session;
+  ReadBatch& batch = t_read_batch;
+  if (batch.recorder == this) {
+    if (type == FlightEventType::kPageRead) {
+      if (batch.runs != 0 && batch.code == code && batch.stage == stage &&
+          batch.session == session) {
+        ++batch.runs;
+        batch.pages += b;
+        return;
+      }
+      FlushReadBatch();
+      batch.stage = stage;
+      batch.code = code;
+      batch.session = session;
+      batch.ts_ns = FlightNowNs();
+      batch.runs = 1;
+      batch.pages = b;
+      return;
+    }
+    FlushReadBatch();
+  }
+  Append(FlightNowNs(), type, stage, code, session, a, b);
+}
+
+void FlightRecorder::FlushReadBatch() {
+  ReadBatch& batch = t_read_batch;
+  if (batch.runs == 0) {
+    return;
+  }
+  Append(batch.ts_ns, FlightEventType::kPageReads, batch.stage, batch.code,
+         batch.session, batch.runs, batch.pages);
+  batch.runs = 0;
+}
+
+void FlightRecorder::Append(uint64_t ts_ns, FlightEventType type,
+                            uint8_t stage, uint16_t code, uint16_t session,
+                            uint64_t a, uint64_t b) {
   Buffer* buf = LocalBuffer();
-  const TraceContext& ctx = CurrentTraceContext();
   const uint64_t idx = buf->head.load(std::memory_order_relaxed);
   Slot& slot = buf->ring[idx & (capacity_ - 1)];
-  slot.w[0].store(FlightNowNs(), std::memory_order_relaxed);
+  slot.w[0].store(ts_ns, std::memory_order_relaxed);
   slot.w[1].store(PackFlightMeta(static_cast<uint8_t>(type), stage, code,
-                                 ctx.session,
-                                 static_cast<uint16_t>(buf->id)),
+                                 session, static_cast<uint16_t>(buf->id)),
                   std::memory_order_relaxed);
   slot.w[2].store(a, std::memory_order_relaxed);
   slot.w[3].store(b, std::memory_order_relaxed);
   // Publishes the slot: Drain acquires `head` before touching the ring.
   buf->head.store(idx + 1, std::memory_order_release);
+}
+
+FlightReadBatch::FlightReadBatch(FlightRecorder& recorder) {
+  ReadBatch& batch = t_read_batch;
+  if (batch.depth++ == 0) {
+    batch.recorder = &recorder;
+  }
+}
+
+FlightReadBatch::~FlightReadBatch() {
+  ReadBatch& batch = t_read_batch;
+  if (--batch.depth == 0) {
+    batch.recorder->FlushReadBatch();
+    batch.recorder = nullptr;
+  }
 }
 
 size_t FlightRecorder::num_threads() const {
@@ -451,9 +523,10 @@ std::string FlightChromeTraceJson(const FlightDump& dump) {
       {"io", "i"},       {"io", "i"},        // kPageRead, kPageWrite
       {"pool", "i"},     {"pool", "i"},      // kPoolHit, kPoolMiss
       {"frame", "B"},    {"frame", "E"},     // kFrameBegin, kFrameEnd
-      {"prefetch", "i"}, {"prefetch", "i"}}; // kPrefetchUsed, kPrefetchCancel
+      {"prefetch", "i"}, {"prefetch", "i"},  // kPrefetchUsed, kPrefetchCancel
+      {"io", "i"}};                          // kPageReads
   static_assert(std::size(kShape) ==
-                static_cast<size_t>(FlightEventType::kPrefetchCancel) + 1);
+                static_cast<size_t>(FlightEventType::kPageReads) + 1);
   for (const FlightEvent& ev : dump.events) {
     if (ev.type == 0 || ev.type >= std::size(kShape)) {
       continue;  // Also types a newer or damaged dump may carry.

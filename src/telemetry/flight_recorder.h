@@ -3,10 +3,17 @@
 // 32-byte binary events — span begin/end, page fetches, buffer-pool
 // hits/misses, frame boundaries — into lock-free per-thread ring buffers.
 // Old events are overwritten, never flushed, so a long-lived process pays
-// a constant memory cost and a ~tens-of-nanoseconds per-event hot-path
-// cost (quantified by BM_FlightRecorderOverhead): the last N events per
-// thread are always available for a post-hoc "what just happened" drain,
-// exactly like an aircraft flight recorder.
+// a constant memory cost and a ~46 ns per-event hot-path cost (a
+// steady_clock read plus the ring store; BM_FlightRecorderOverhead): the
+// last N events per thread are always available for a post-hoc "what
+// just happened" drain, exactly like an aircraft flight recorder.
+//
+// Read batches: the model-fetch loop of a query or frame bills one page
+// run per model, about 75 per query. Inside a FlightReadBatch scope those
+// kPageRead events merge into one kPageReads event per consecutive
+// (code, stage, session) run of reads, carrying the run and page totals,
+// so the loop pays the per-event cost once per device instead of once
+// per model. Reads outside a batch stay one kPageRead per run.
 //
 // Concurrency model: each thread writes only its own ring (registered on
 // first use); every slot is a quartet of relaxed atomics published by a
@@ -24,7 +31,8 @@
 // the pipeline stage it is in — so a drained dump can answer "which
 // session's fetch stage caused this pool miss" without any hook changing
 // its signature. Dumps are versioned ("HDOVFREC" v2 carries the wider
-// events; v1 dumps still decode with session/stage zero).
+// events; v1 dumps still decode with session/stage zero). New event types
+// are append-only and keep the 32-byte row, so they need no new version.
 
 #ifndef HDOV_TELEMETRY_FLIGHT_RECORDER_H_
 #define HDOV_TELEMETRY_FLIGHT_RECORDER_H_
@@ -58,6 +66,9 @@ enum class FlightEventType : uint8_t {
   // these two cover the other ends of a prefetched page's life.
   kPrefetchUsed = 9,    // a = first page id, b = pages consumed unbilled.
   kPrefetchCancel = 10, // a = resident pages invalidated, b = planned cell.
+  // Consecutive kPageRead events of one (code, stage, session) recorded
+  // inside a FlightReadBatch; ts_ns is the first run's.
+  kPageReads = 11,      // a = run count, b = page count.
 };
 
 std::string_view FlightEventTypeName(FlightEventType type);
@@ -129,7 +140,9 @@ class FlightRecorder {
 
   // Appends one event to the calling thread's ring (registering the
   // thread on first use). No-op when disabled. Lock-free after the first
-  // call per thread.
+  // call per thread. Inside a FlightReadBatch on this recorder, kPageRead
+  // events merge into the thread's pending kPageReads aggregate, and any
+  // other event writes that aggregate out first.
   void Record(FlightEventType type, uint16_t code, uint64_t a, uint64_t b);
 
   // Like Record, but stamps `stage` (a TraceStage value) instead of the
@@ -171,7 +184,14 @@ class FlightRecorder {
     uint32_t id = 0;
   };
 
+  friend class FlightReadBatch;
+
   Buffer* LocalBuffer();
+  // Writes one slot of the calling thread's ring.
+  void Append(uint64_t ts_ns, FlightEventType type, uint8_t stage,
+              uint16_t code, uint16_t session, uint64_t a, uint64_t b);
+  // Writes the calling thread's pending kPageReads aggregate, if any.
+  void FlushReadBatch();
 
   const size_t capacity_;  // Power of two.
   const uint64_t serial_;  // Process-unique; keys the thread-local cache.
@@ -217,6 +237,22 @@ std::string FlightChromeTraceJson(const FlightDump& dump);
 
 // Nanoseconds since the process flight epoch (first use).
 uint64_t FlightNowNs();
+
+// RAII read batch: while the outermost scope on a thread is open, that
+// thread's kPageRead events on `recorder` merge into one kPageReads event
+// per consecutive (code, stage, session) run, written when the key
+// changes, when the thread records any other event type on `recorder`
+// (so prefetch, span and frame events keep their order), or when the
+// outermost scope closes. Scopes nest; a nested scope joins the
+// outermost one's batch, whatever recorder it names.
+class FlightReadBatch {
+ public:
+  explicit FlightReadBatch(FlightRecorder& recorder);
+  ~FlightReadBatch();
+
+  FlightReadBatch(const FlightReadBatch&) = delete;
+  FlightReadBatch& operator=(const FlightReadBatch&) = delete;
+};
 
 // RAII frame boundary: kFrameBegin on construction, kFrameEnd on
 // destruction, recorded into the global recorder. `code` identifies the

@@ -286,6 +286,7 @@ std::string SlowDumpChromeTraceJson(const SlowDump& dump) {
     for (const FlightEvent& ev : cap.events) {
       const auto type = static_cast<FlightEventType>(ev.type);
       if (type != FlightEventType::kPageRead &&
+          type != FlightEventType::kPageReads &&
           type != FlightEventType::kPageWrite &&
           type != FlightEventType::kPoolHit &&
           type != FlightEventType::kPoolMiss) {

@@ -94,27 +94,30 @@ Status LodRTreeSystem::RenderFrame(const Viewpoint& viewpoint,
   uint64_t triangles = 0;
   last_result_.clear();
   last_result_.reserve(band_of.size());
-  for (const auto& [id, band] : band_of) {
-    const Object& obj = scene_->object(id);
-    const uint32_t level = static_cast<uint32_t>(
-        std::min<size_t>(band, obj.lods.num_levels() - 1));
-    auto it = resident_.find(id);
-    const bool needs_fetch =
-        !delta_enabled_ || it == resident_.end() || it->second.first > level;
-    if (needs_fetch) {
-      HDOV_RETURN_IF_ERROR(models_.Fetch(object_models_[id][level]));
-      ++fetched;
-      resident_[id] = {level, obj.lods.level(level).byte_size};
+  {
+    telemetry::FlightReadBatch batch(telemetry::GlobalFlightRecorder());
+    for (const auto& [id, band] : band_of) {
+      const Object& obj = scene_->object(id);
+      const uint32_t level = static_cast<uint32_t>(
+          std::min<size_t>(band, obj.lods.num_levels() - 1));
+      auto it = resident_.find(id);
+      const bool needs_fetch =
+          !delta_enabled_ || it == resident_.end() || it->second.first > level;
+      if (needs_fetch) {
+        HDOV_RETURN_IF_ERROR(models_.Fetch(object_models_[id][level]));
+        ++fetched;
+        resident_[id] = {level, obj.lods.level(level).byte_size};
+      }
+      RetrievedLod lod;
+      lod.kind = RetrievedLod::Kind::kObject;
+      lod.owner = id;
+      lod.lod_level = level;
+      lod.model = object_models_[id][level];
+      lod.triangle_count = obj.lods.level(level).triangle_count;
+      lod.byte_size = obj.lods.level(level).byte_size;
+      triangles += lod.triangle_count;
+      last_result_.push_back(lod);
     }
-    RetrievedLod lod;
-    lod.kind = RetrievedLod::Kind::kObject;
-    lod.owner = id;
-    lod.lod_level = level;
-    lod.model = object_models_[id][level];
-    lod.triangle_count = obj.lods.level(level).triangle_count;
-    lod.byte_size = obj.lods.level(level).byte_size;
-    triangles += lod.triangle_count;
-    last_result_.push_back(lod);
   }
 
   for (auto it = resident_.begin(); it != resident_.end();) {

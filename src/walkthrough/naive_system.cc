@@ -102,6 +102,7 @@ Status NaiveSystem::Query(const Vec3& position, bool fetch_models,
     result->push_back(lod);
   }
   if (fetch_models) {
+    telemetry::FlightReadBatch batch(telemetry::GlobalFlightRecorder());
     for (const RetrievedLod& lod : *result) {
       HDOV_RETURN_IF_ERROR(models_.Fetch(lod.model));
     }
@@ -122,15 +123,18 @@ Status NaiveSystem::RenderFrame(const Viewpoint& viewpoint,
   size_t fetched = 0;
   uint64_t triangles = 0;
   std::unordered_map<ModelId, uint64_t> next_resident;
-  for (const RetrievedLod& lod : last_result_) {
-    triangles += lod.triangle_count;
-    const bool already_resident =
-        delta_enabled_ && resident_.find(lod.model) != resident_.end();
-    if (!already_resident) {
-      HDOV_RETURN_IF_ERROR(models_.Fetch(lod.model));
-      ++fetched;
+  {
+    telemetry::FlightReadBatch batch(telemetry::GlobalFlightRecorder());
+    for (const RetrievedLod& lod : last_result_) {
+      triangles += lod.triangle_count;
+      const bool already_resident =
+          delta_enabled_ && resident_.find(lod.model) != resident_.end();
+      if (!already_resident) {
+        HDOV_RETURN_IF_ERROR(models_.Fetch(lod.model));
+        ++fetched;
+      }
+      next_resident.emplace(lod.model, lod.byte_size);
     }
-    next_resident.emplace(lod.model, lod.byte_size);
   }
   resident_ = std::move(next_resident);
 

@@ -246,6 +246,7 @@ Status VisualSystem::Query(const Vec3& position, bool fetch_models,
       searcher_->Search(store_.get(), cell, search, result, stats_out));
   if (fetch_models) {
     telemetry::StageTraceScope stage(telemetry::TraceStage::kFetch);
+    telemetry::FlightReadBatch batch(telemetry::GlobalFlightRecorder());
     for (const RetrievedLod& lod : *result) {
       HDOV_RETURN_IF_ERROR(models_->Fetch(lod.model));
     }
@@ -281,6 +282,7 @@ Status VisualSystem::QueryWithHeuristic(const Vec3& position,
   search.heuristic = heuristic;
   HDOV_RETURN_IF_ERROR(
       searcher_->Search(store_.get(), cell, search, result, nullptr));
+  telemetry::FlightReadBatch batch(telemetry::GlobalFlightRecorder());
   for (const RetrievedLod& lod : *result) {
     HDOV_RETURN_IF_ERROR(models_->Fetch(lod.model));
   }
@@ -322,6 +324,7 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
   uint64_t triangles = 0;
   {
     telemetry::StageTraceScope stage(telemetry::TraceStage::kFetch);
+    telemetry::FlightReadBatch batch(telemetry::GlobalFlightRecorder());
     for (const RetrievedLod& lod : last_result_) {
       const uint64_t key = ResidentKey(lod);
       ResidentEntry entry{lod.lod_level, lod.byte_size, lod.triangle_count};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -27,6 +28,8 @@ using telemetry::FlightInternName;
 using telemetry::FlightNameCount;
 using telemetry::FlightNameForId;
 using telemetry::FlightNamesDropped;
+using telemetry::FlightNowNs;
+using telemetry::FlightReadBatch;
 using telemetry::FlightRecorder;
 using telemetry::kMaxFlightNames;
 using telemetry::SessionTraceScope;
@@ -384,6 +387,212 @@ TEST(FlightRecorderTest, V1DumpDecodesWithZeroAttribution) {
   std::string future("HDOVFREC", 8);
   EncodeFixed32(&future, 99);
   EXPECT_FALSE(DecodeFlightDump(future).ok());
+}
+
+// ------------------------------------------------------------ read batches
+
+TEST(FlightRecorderTest, ReadBatchMergesConsecutiveReadsOfOneKey) {
+  FlightRecorder recorder(64);
+  const uint16_t model = FlightInternName("batch-model");
+  const uint16_t tree = FlightInternName("batch-tree");
+  recorder.Record(FlightEventType::kPageRead, tree, 1, 1);  // Per run.
+  {
+    FlightReadBatch batch(recorder);
+    recorder.Record(FlightEventType::kPageRead, model, 10, 3);
+    recorder.Record(FlightEventType::kPageRead, model, 20, 2);
+    {
+      FlightReadBatch nested(recorder);
+      recorder.Record(FlightEventType::kPageRead, model, 30, 4);
+    }
+    // The aggregate is still pending: an inner scope does not flush.
+    EXPECT_EQ(recorder.events_recorded(), 1u);
+    recorder.Record(FlightEventType::kPageRead, tree, 5, 1);  // New key.
+    recorder.Record(FlightEventType::kPoolHit, tree, 5, 0);   // Other type.
+    recorder.Record(FlightEventType::kPageRead, model, 40, 1);
+  }
+  recorder.Record(FlightEventType::kPageRead, tree, 2, 1);  // Per run.
+
+  const FlightDump dump = recorder.Drain();
+  struct Want {
+    FlightEventType type;
+    uint16_t code;
+    uint64_t a;
+    uint64_t b;
+  };
+  const std::vector<Want> want = {
+      {FlightEventType::kPageRead, tree, 1, 1},
+      {FlightEventType::kPageReads, model, 3, 9},
+      {FlightEventType::kPageReads, tree, 1, 1},
+      {FlightEventType::kPoolHit, tree, 5, 0},
+      {FlightEventType::kPageReads, model, 1, 1},
+      {FlightEventType::kPageRead, tree, 2, 1},
+  };
+  ASSERT_EQ(dump.events.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    const FlightEvent& ev = dump.events[i];
+    EXPECT_EQ(ev.type, static_cast<uint8_t>(want[i].type)) << i;
+    EXPECT_EQ(ev.code, want[i].code) << i;
+    EXPECT_EQ(ev.a, want[i].a) << i;
+    EXPECT_EQ(ev.b, want[i].b) << i;
+    if (i > 0) {
+      EXPECT_LE(dump.events[i - 1].ts_ns, ev.ts_ns) << i;
+    }
+  }
+}
+
+TEST(FlightRecorderTest, ReadBatchKeysOnStageAndSession) {
+  FlightRecorder recorder(64);
+  const uint16_t code = FlightInternName("batch-key-device");
+  const uint16_t session = FlightInternName("batch-key-session");
+  {
+    FlightReadBatch batch(recorder);
+    {
+      StageTraceScope stage(TraceStage::kFetch);
+      recorder.Record(FlightEventType::kPageRead, code, 1, 2);
+      recorder.Record(FlightEventType::kPageRead, code, 3, 2);
+    }
+    {
+      StageTraceScope stage(TraceStage::kPrefetch);
+      recorder.Record(FlightEventType::kPageRead, code, 5, 1);
+    }
+    // An explicit stage joins the aggregate of that stage.
+    recorder.RecordWithStage(FlightEventType::kPageRead, code, 6, 1,
+                             static_cast<uint8_t>(TraceStage::kPrefetch));
+    SessionTraceScope trace(session, 0);
+    recorder.RecordWithStage(FlightEventType::kPageRead, code, 7, 5,
+                             static_cast<uint8_t>(TraceStage::kPrefetch));
+  }
+  const FlightDump dump = recorder.Drain();
+  ASSERT_EQ(dump.events.size(), 3u);
+  for (const FlightEvent& ev : dump.events) {
+    EXPECT_EQ(ev.type, static_cast<uint8_t>(FlightEventType::kPageReads));
+    EXPECT_EQ(ev.code, code);
+  }
+  EXPECT_EQ(dump.events[0].stage, static_cast<uint8_t>(TraceStage::kFetch));
+  EXPECT_EQ(dump.events[0].a, 2u);
+  EXPECT_EQ(dump.events[0].b, 4u);
+  EXPECT_EQ(dump.events[1].stage,
+            static_cast<uint8_t>(TraceStage::kPrefetch));
+  EXPECT_EQ(dump.events[1].session, 0u);
+  EXPECT_EQ(dump.events[1].a, 2u);
+  EXPECT_EQ(dump.events[1].b, 2u);
+  EXPECT_EQ(dump.events[2].session, session);
+  EXPECT_EQ(dump.events[2].a, 1u);
+  EXPECT_EQ(dump.events[2].b, 5u);
+}
+
+TEST(FlightRecorderTest, ReadBatchKeepsTheFirstRunsTimestamp) {
+  FlightRecorder recorder(64);
+  const uint16_t code = FlightInternName("batch-ts-device");
+  uint64_t before = 0;
+  uint64_t after = 0;
+  {
+    FlightReadBatch batch(recorder);
+    before = FlightNowNs();
+    recorder.Record(FlightEventType::kPageRead, code, 1, 1);
+    after = FlightNowNs();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    recorder.Record(FlightEventType::kPageRead, code, 2, 1);
+  }
+  const FlightDump dump = recorder.Drain();
+  ASSERT_EQ(dump.events.size(), 1u);
+  EXPECT_GE(dump.events[0].ts_ns, before);
+  EXPECT_LE(dump.events[0].ts_ns, after);
+}
+
+TEST(FlightRecorderTest, ReadBatchAppliesOnlyToItsRecorder) {
+  FlightRecorder batched(64);
+  FlightRecorder plain(64);
+  const uint16_t code = FlightInternName("batch-other-device");
+  {
+    FlightReadBatch batch(batched);
+    // A nested scope joins the outermost batch, on its recorder only.
+    FlightReadBatch nested(plain);
+    batched.Record(FlightEventType::kPageRead, code, 1, 1);
+    batched.Record(FlightEventType::kPageRead, code, 2, 1);
+    plain.Record(FlightEventType::kPageRead, code, 1, 1);
+    plain.Record(FlightEventType::kPageRead, code, 2, 1);
+  }
+  const FlightDump merged = batched.Drain();
+  ASSERT_EQ(merged.events.size(), 1u);
+  EXPECT_EQ(merged.events[0].type,
+            static_cast<uint8_t>(FlightEventType::kPageReads));
+  EXPECT_EQ(merged.events[0].b, 2u);
+  const FlightDump per_run = plain.Drain();
+  ASSERT_EQ(per_run.events.size(), 2u);
+  for (const FlightEvent& ev : per_run.events) {
+    EXPECT_EQ(ev.type, static_cast<uint8_t>(FlightEventType::kPageRead));
+  }
+}
+
+TEST(FlightRecorderTest, ConcurrentReadBatchesKeepPerThreadTotals) {
+  constexpr size_t kWriters = 4;
+  constexpr uint64_t kReads = 2000;
+  constexpr uint64_t kHitEvery = 10;
+  FlightRecorder recorder(1 << 14);  // Roomy: no ring wraps.
+  const uint16_t code = FlightInternName("batch-concurrent");
+  {
+    ThreadPool pool(kWriters);
+    // The barrier pins each index to a distinct thread (see above).
+    std::atomic<size_t> arrived{0};
+    pool.ParallelFor(kWriters, [&](size_t, size_t) {
+      arrived.fetch_add(1);
+      while (arrived.load() < kWriters) {
+        std::this_thread::yield();
+      }
+      FlightReadBatch batch(recorder);
+      for (uint64_t i = 1; i <= kReads; ++i) {
+        recorder.Record(FlightEventType::kPageRead, code, i, 2);
+        if (i % kHitEvery == 0) {
+          recorder.Record(FlightEventType::kPoolHit, code, i, 0);
+        }
+      }
+    });
+  }
+  const FlightDump dump = recorder.Drain();
+  uint64_t pages = 0;
+  uint64_t runs = 0;
+  uint64_t aggregates = 0;
+  for (const FlightEvent& ev : dump.events) {
+    ASSERT_NE(ev.type, static_cast<uint8_t>(FlightEventType::kPageRead));
+    if (ev.type == static_cast<uint8_t>(FlightEventType::kPageReads)) {
+      ++aggregates;
+      runs += ev.a;
+      pages += ev.b;
+    }
+  }
+  EXPECT_EQ(runs, kWriters * kReads);
+  EXPECT_EQ(pages, kWriters * kReads * 2);
+  // Each pool hit closes one aggregate of kHitEvery runs.
+  EXPECT_EQ(aggregates, kWriters * (kReads / kHitEvery));
+  EXPECT_EQ(dump.dropped, 0u);
+}
+
+TEST(FlightRecorderTest, PageReadsEventIsNamedRoundTripsAndTraces) {
+  EXPECT_EQ(telemetry::FlightEventTypeName(FlightEventType::kPageReads),
+            "page_reads");
+  FlightDump dump;
+  dump.names = {"?", "visual.io.model"};
+  FlightEvent ev;
+  ev.ts_ns = 2'000;
+  ev.type = static_cast<uint8_t>(FlightEventType::kPageReads);
+  ev.stage = static_cast<uint8_t>(TraceStage::kFetch);
+  ev.code = 1;
+  ev.a = 75;
+  ev.b = 411;
+  dump.events = {ev};
+
+  Result<FlightDump> back = DecodeFlightDump(EncodeFlightDump(dump));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->events.size(), 1u);
+  EXPECT_EQ(back->events[0].type, ev.type);
+  EXPECT_EQ(back->events[0].a, 75u);
+  EXPECT_EQ(back->events[0].b, 411u);
+
+  const std::string json = FlightChromeTraceJson(dump);
+  EXPECT_NE(json.find("\"type\":\"page_reads\""), std::string::npos);
+  EXPECT_NE(json.find("\"cat\":\"io\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
 }
 
 TEST(FlightRecorderTest, NamesDroppedCountsTableOverflow) {

@@ -358,6 +358,29 @@ TEST_P(StoreSchemes, InflatedMetaCountsAreCorruptionWithoutAllocating) {
       LoadStore(GetParam(), *tree_, wrapped, &device).status().IsCorruption());
 }
 
+TEST_P(StoreSchemes, IndexExtentOffTheDeviceIsCorruption) {
+  if (GetParam() == StorageScheme::kHorizontal) {
+    return;  // No V-page-index extent in its metadata.
+  }
+  PageDevice device;
+  Result<std::unique_ptr<VisibilityStore>> store =
+      BuildStore(GetParam(), *tree_, *table_, &device);
+  ASSERT_TRUE(store.ok());
+  std::string meta;
+  (*store)->EncodeMeta(&meta);
+  // The metadata opens with the index extent: u64 first page, u64 page
+  // count, u64 byte length. A first page near 2^64 wraps the run back
+  // onto the device's first pages.
+  const std::string wrapping = WithCount64(meta, 0, ~uint64_t{0} - 1);
+  EXPECT_TRUE(LoadStore(GetParam(), *tree_, wrapping, &device)
+                  .status()
+                  .IsCorruption());
+  const std::string past_end = WithCount64(meta, 8, device.page_count() + 1);
+  EXPECT_TRUE(LoadStore(GetParam(), *tree_, past_end, &device)
+                  .status()
+                  .IsCorruption());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSchemes, StoreSchemes,
                          ::testing::Values(StorageScheme::kHorizontal,
                                            StorageScheme::kVertical,

@@ -3,23 +3,32 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "scene/city_generator.h"
+#include "scene/session.h"
 #include "telemetry/flight_recorder.h"
+#include "telemetry/telemetry.h"
 #include "telemetry/trace_context.h"
 #include "temp_path.h"
+#include "walkthrough/frame_loop.h"
+#include "walkthrough/visual_system.h"
 
 namespace hdov {
 namespace {
 
 using telemetry::DecodeSlowDump;
 using telemetry::EncodeSlowDump;
+using telemetry::FlightDump;
 using telemetry::FlightEvent;
 using telemetry::FlightEventType;
 using telemetry::FlightInternName;
 using telemetry::FlightNowNs;
+using telemetry::FlightRecorder;
 using telemetry::FrameStageRecord;
 using telemetry::kNumTraceStages;
 using telemetry::SessionTraceScope;
@@ -315,6 +324,232 @@ TEST(SlowFrameTest, ConcurrentOnFrameIsSafe) {
   EXPECT_EQ(cap.frames_seen(), kThreads * kFrames);
   EXPECT_EQ(cap.captures(), 8u);  // Trips beyond the cap are dropped.
   EXPECT_GT(cap.Snapshot().captures_dropped, 0u);
+}
+
+// ------------------------------------ recorder totals against the billing
+
+// A small world whose visual system really fetches: every model run the
+// devices bill must be accounted for, page for page, by the recorder.
+class FlightRecorderWorldTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    CityOptions copt;
+    copt.mode = GeometryMode::kProxy;
+    copt.blocks_x = 4;
+    copt.blocks_y = 4;
+    scene_ = new Scene(std::move(*GenerateCity(copt)));
+
+    CellGridOptions gopt;
+    gopt.cells_x = 4;
+    gopt.cells_y = 4;
+    grid_ = new CellGrid(std::move(*CellGrid::Build(scene_->bounds(), gopt)));
+
+    PrecomputeOptions popt;
+    popt.dov.cubemap.face_resolution = 24;
+    popt.samples_per_cell = 1;
+    table_ = new VisibilityTable(
+        std::move(*PrecomputeVisibility(*scene_, *grid_, popt)));
+  }
+
+  static void TearDownTestSuite() {
+    delete table_;
+    delete grid_;
+    delete scene_;
+  }
+
+  static VisualOptions Options(prefetch::PrefetchMode mode) {
+    VisualOptions opt;
+    opt.eta = 0.001;
+    opt.build.rtree.max_entries = 8;
+    opt.build.rtree.min_entries = 3;
+    opt.prefetch = mode;
+    opt.prefetch_models_per_frame =
+        mode == prefetch::PrefetchMode::kSync ? 2 : 0;
+    opt.prefetch_workers = 1;
+    return opt;
+  }
+
+  static std::unique_ptr<VisualSystem> MakeVisual(const VisualOptions& opt) {
+    Result<std::unique_ptr<VisualSystem>> system =
+        VisualSystem::Create(scene_, grid_, table_, opt);
+    EXPECT_TRUE(system.ok()) << system.status().ToString();
+    return std::move(*system);
+  }
+
+  static Session Walk(size_t frames) {
+    Session session = RecordSession(MotionPattern::kNormalWalk,
+                                    scene_->bounds(), SessionOptions{
+                                        .num_frames = frames,
+                                    });
+    session.name = "flight-walk";
+    return session;
+  }
+
+  // Pages the recorder saw per device name (kPageRead and kPageReads),
+  // split by whether the prefetch stage was stamped, plus the event
+  // counts of each type outside the prefetch stage.
+  struct RecordedPages {
+    uint64_t other_stages = 0;
+    uint64_t prefetch_stage = 0;
+    uint64_t per_run_events = 0;
+    uint64_t batched_events = 0;
+    uint64_t batched_runs = 0;
+  };
+
+  static std::map<std::string, RecordedPages> PagesByDevice(
+      const FlightDump& dump) {
+    std::map<std::string, RecordedPages> pages;
+    for (const FlightEvent& ev : dump.events) {
+      const auto type = static_cast<FlightEventType>(ev.type);
+      if (type != FlightEventType::kPageRead &&
+          type != FlightEventType::kPageReads) {
+        continue;
+      }
+      RecordedPages& p = pages[std::string(dump.NameOf(ev))];
+      if (ev.stage == static_cast<uint8_t>(TraceStage::kPrefetch)) {
+        p.prefetch_stage += ev.b;
+        continue;
+      }
+      p.other_stages += ev.b;
+      if (type == FlightEventType::kPageReads) {
+        ++p.batched_events;
+        p.batched_runs += ev.a;
+      } else {
+        ++p.per_run_events;
+      }
+    }
+    return pages;
+  }
+
+  // Fixed standalone queries (the Fig. 7 path) and a walk (the frame
+  // path) on a fresh system; returns the per-device recorded pages and
+  // each device's billed page_reads delta.
+  static void Run(const VisualOptions& opt,
+                  std::map<std::string, RecordedPages>* recorded,
+                  std::map<std::string, uint64_t>* billed,
+                  uint64_t* diverted) {
+    telemetry::Telemetry tel;  // Declared first: outlives the system.
+    auto visual = MakeVisual(opt);
+    visual->AttachTelemetry(&tel, "flight");
+    FlightRecorder& global = telemetry::GlobalFlightRecorder();
+    const Session session = Walk(40);
+    const telemetry::MetricsSnapshot before = tel.metrics().Snapshot();
+    global.Drain(/*consume=*/true);
+    const uint64_t dropped_before = global.events_dropped();
+
+    std::vector<RetrievedLod> result;
+    for (size_t i = 0; i < session.frames.size(); i += 8) {
+      ASSERT_TRUE(visual
+                      ->Query(session.frames[i].position,
+                              /*fetch_models=*/true, &result, nullptr)
+                      .ok());
+    }
+    ASSERT_TRUE(PlaySession(visual.get(), session).ok());
+
+    const FlightDump dump = global.Drain(/*consume=*/true);
+    ASSERT_EQ(global.events_dropped(), dropped_before);
+    const telemetry::MetricsSnapshot after = tel.metrics().Snapshot();
+    *recorded = PagesByDevice(dump);
+    for (const char* device : {"tree", "store", "model"}) {
+      const std::string name = std::string("flight.io.") + device;
+      const std::string reads = name + ".page_reads";
+      ASSERT_NE(after.Find(reads), nullptr) << reads;
+      (*billed)[name] = static_cast<uint64_t>(after.Find(reads)->value -
+                                              before.Find(reads)->value);
+    }
+    *diverted = visual->prefetcher() != nullptr
+                    ? visual->prefetcher()->stats().issued_pages
+                    : 0;
+  }
+
+  static Scene* scene_;
+  static CellGrid* grid_;
+  static VisibilityTable* table_;
+};
+
+Scene* FlightRecorderWorldTest::scene_ = nullptr;
+CellGrid* FlightRecorderWorldTest::grid_ = nullptr;
+VisibilityTable* FlightRecorderWorldTest::table_ = nullptr;
+
+TEST_F(FlightRecorderWorldTest, PageTotalsMatchBilledPagesWithSyncPrefetch) {
+  std::map<std::string, RecordedPages> recorded;
+  std::map<std::string, uint64_t> billed;
+  uint64_t diverted = 0;
+  Run(Options(prefetch::PrefetchMode::kSync), &recorded, &billed, &diverted);
+  EXPECT_EQ(diverted, 0u);  // Sync prefetch bills its reads.
+  for (const auto& [name, pages] : billed) {
+    const RecordedPages& r = recorded[name];
+    EXPECT_EQ(r.other_stages + r.prefetch_stage, pages) << name;
+    EXPECT_GT(pages, 0u) << name;
+  }
+  const RecordedPages& model = recorded["flight.io.model"];
+  // The walk had idle frames, so sync prefetch really fetched.
+  EXPECT_GT(model.prefetch_stage, 0u);
+  // Only fetch loops read models outside prefetch, and every one of
+  // their runs landed in an aggregate that merged several.
+  EXPECT_EQ(model.per_run_events, 0u);
+  EXPECT_LT(model.batched_events, model.batched_runs);
+  // Search reads are not batched.
+  EXPECT_EQ(recorded["flight.io.tree"].batched_events, 0u);
+}
+
+TEST_F(FlightRecorderWorldTest,
+       PageTotalsMatchBilledPlusDivertedPagesWithAsyncPrefetch) {
+  std::map<std::string, RecordedPages> recorded;
+  std::map<std::string, uint64_t> billed;
+  uint64_t diverted = 0;
+  Run(Options(prefetch::PrefetchMode::kAsync), &recorded, &billed,
+      &diverted);
+  // Async speculation is the only prefetch-stage reader, and every read
+  // it makes is diverted off the device's bill.
+  uint64_t prefetch_stage = 0;
+  for (const auto& [name, pages] : billed) {
+    const RecordedPages& r = recorded[name];
+    EXPECT_EQ(r.other_stages, pages) << name;
+    prefetch_stage += r.prefetch_stage;
+  }
+  EXPECT_GT(diverted, 0u);
+  EXPECT_EQ(prefetch_stage, diverted);
+}
+
+TEST_F(FlightRecorderWorldTest, SlowFrameCaptureHoldsCoalescedModelReads) {
+  telemetry::Telemetry tel;  // Declared first: outlives the system.
+  auto visual = MakeVisual(Options(prefetch::PrefetchMode::kOff));
+  visual->AttachTelemetry(&tel, "slowcap");
+  SlowFrameCapture& capture = telemetry::GlobalSlowFrameCapture();
+  SlowFrameOptions sopt;
+  sopt.threshold_ms = 1e-6;  // Every frame trips.
+  sopt.percentile = 0.0;
+  capture.Configure(sopt);
+
+  PlayOptions play;
+  play.keep_frames = true;
+  Result<SessionSummary> summary = PlaySession(visual.get(), Walk(1), play);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  ASSERT_EQ(summary->frames.size(), 1u);
+  const FrameResult& frame = summary->frames[0];
+  ASSERT_GT(frame.models_fetched, 1u);
+
+  const SlowDump dump = capture.Snapshot();
+  capture.Configure(SlowFrameOptions());
+  ASSERT_EQ(dump.captures.size(), 1u);
+  const uint16_t model = FlightInternName("slowcap.io.model");
+  std::vector<FlightEvent> model_reads;
+  for (const FlightEvent& ev : dump.captures[0].events) {
+    if (ev.code == model &&
+        (ev.type == static_cast<uint8_t>(FlightEventType::kPageRead) ||
+         ev.type == static_cast<uint8_t>(FlightEventType::kPageReads))) {
+      model_reads.push_back(ev);
+    }
+  }
+  // The fetch loop's model runs are one event carrying the frame's model
+  // pages (no prefetch: the frame's only model reads are its fetches).
+  ASSERT_EQ(model_reads.size(), 1u);
+  const FlightEvent& reads = model_reads[0];
+  EXPECT_EQ(reads.type, static_cast<uint8_t>(FlightEventType::kPageReads));
+  EXPECT_EQ(reads.stage, static_cast<uint8_t>(TraceStage::kFetch));
+  EXPECT_EQ(reads.a, frame.models_fetched);
+  EXPECT_EQ(reads.b, frame.io_pages - frame.light_io_pages);
 }
 
 }  // namespace

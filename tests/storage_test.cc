@@ -190,6 +190,32 @@ TEST(PagedFileTest, ReadRangeBoundsChecked) {
   EXPECT_TRUE(empty->empty());
 }
 
+TEST(PagedFileTest, ExtentOffTheDeviceIsOutOfRange) {
+  PageDevice device;
+  PagedFile file(&device);
+  const uint64_t page = device.page_size();
+  ASSERT_TRUE(file.Append(std::string(3 * page, 'x')).ok());
+  // first_page + page_count wraps past 2^64 back onto pages 0 and 1.
+  Extent wrapping;
+  wrapping.first_page = ~uint64_t{0} - 1;
+  wrapping.page_count = 3;
+  wrapping.byte_length = 3 * page;
+  EXPECT_EQ(file.ReadExtent(wrapping).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(file.ReadRange(wrapping, 2 * page, page).status().code(),
+            StatusCode::kOutOfRange);
+  // A byte length its pages cannot hold.
+  Extent overlong;
+  overlong.first_page = 0;
+  overlong.page_count = 1;
+  overlong.byte_length = page + 1;
+  EXPECT_EQ(file.ReadExtent(overlong).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(file.ReadRange(overlong, page, 1).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(device.stats().page_reads, 0u);
+}
+
 TEST(ModelStoreTest, RegisterAndFetchBilling) {
   PageDevice device;
   ModelStore store(&device);

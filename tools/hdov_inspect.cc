@@ -331,8 +331,8 @@ struct EventRollup {
   uint64_t io_pages = 0;
   uint64_t spans = 0;
   // Async prefetch pipeline accounting (docs/prefetch.md). Issued = page
-  // reads billed during speculation (kPageRead stamped with the prefetch
-  // stage), used/cancelled from their dedicated event types.
+  // reads billed during speculation (kPageRead or kPageReads stamped with
+  // the prefetch stage), used/cancelled from their dedicated event types.
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_used = 0;
   uint64_t prefetch_cancelled = 0;
@@ -341,6 +341,7 @@ struct EventRollup {
     events += 1;
     switch (static_cast<telemetry::FlightEventType>(e.type)) {
       case telemetry::FlightEventType::kPageRead:
+      case telemetry::FlightEventType::kPageReads:
         pages_read += e.b;
         if (e.stage ==
             static_cast<uint8_t>(telemetry::TraceStage::kPrefetch)) {
